@@ -15,7 +15,6 @@ The unified ``repro`` command drives the staged engine::
     repro trace    --workload matmul -o matmul.trace.json  # Perfetto timeline
     repro stats    --workload matmul  # metrics-registry snapshot table
     repro discover file.mc --obs trace --trace-out out.json
-    repro bench    [--quick]          # tuple vs columnar event throughput
     repro bench    --suite vm --quick # compiled vs switch dispatch cores
     repro bench    --suite detect     # vectorized vs loop detection cores
     repro bench    --suite obs --quick # observability disabled-cost gate
@@ -86,12 +85,6 @@ def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
         choices=sorted(BACKENDS),
         default="serial",
         help="profiler backend (see repro.profiler.backends)",
-    )
-    parser.add_argument(
-        "--chunk-format",
-        choices=("tuple", "columnar"),
-        default="columnar",
-        help="event chunk representation",
     )
     parser.add_argument(
         "--dispatch",
@@ -210,7 +203,6 @@ def _config_from_args(args, source: str, name: str,
         skip_loops=getattr(args, "skip_loops", False),
         seed=args.seed,
         backend=getattr(args, "backend", "serial"),
-        chunk_format=getattr(args, "chunk_format", "columnar"),
         dispatch=getattr(args, "dispatch", "compiled"),
         detect=getattr(args, "detect", "vectorized"),
         detect_workers=getattr(args, "detect_workers", 4),
@@ -494,44 +486,14 @@ def cmd_parallelize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.suite == "vm":
-        return _bench_vm(args)
-    if args.suite == "detect":
-        return _bench_detect(args)
-    if args.suite == "obs":
-        return _bench_obs(args)
-    if args.suite == "faults":
-        return _bench_faults(args)
-    if args.suite == "store":
-        return _bench_store(args)
-    from repro.engine.bench import format_pipeline_table, run_pipeline_bench
-
-    result = run_pipeline_bench(
-        args.workloads or None,
-        scale=args.scale,
-        reps=args.reps,
-        quick=args.quick,
-        chunk_size=args.chunk_size,
-    )
-    if args.format == "json":
-        print(json.dumps(result, indent=1))
-    else:
-        print(format_pipeline_table(result))
-    with open(args.save, "w") as handle:
-        json.dump(result, handle, indent=1)
-    print(f"; saved pipeline bench -> {args.save}", file=sys.stderr)
-    if not result["all_stores_identical"]:
-        print("; FAIL: tuple and columnar stores differ", file=sys.stderr)
-        return 1
-    if args.min_ratio and result["throughput_ratio_geomean"] < args.min_ratio:
-        print(
-            f"; FAIL: columnar/tuple throughput geomean "
-            f"{result['throughput_ratio_geomean']:.2f} "
-            f"below required {args.min_ratio:.2f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    suites = {
+        "vm": _bench_vm,
+        "detect": _bench_detect,
+        "obs": _bench_obs,
+        "faults": _bench_faults,
+        "store": _bench_store,
+    }
+    return suites[args.suite](args)
 
 
 def _bench_vm(args) -> int:
@@ -1084,16 +1046,14 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bench",
-        help="performance benches: event pipeline or VM dispatch cores",
+        help="performance benches with equivalence and speedup gates",
     )
     p.add_argument("workloads", nargs="*",
                    help="registry workloads (default: the suite's trio)")
     p.add_argument("--suite",
-                   choices=("pipeline", "vm", "detect", "obs", "faults",
-                            "store"),
-                   default="pipeline",
-                   help="pipeline: tuple vs columnar chunks; "
-                        "vm: switch vs compiled dispatch; "
+                   choices=("vm", "detect", "obs", "faults", "store"),
+                   required=True,
+                   help="vm: switch vs compiled dispatch; "
                         "detect: loop vs vectorized detection cores; "
                         "obs: observability overhead (disabled-cost gate); "
                         "faults: deterministic fault matrix against the "
@@ -1115,9 +1075,8 @@ def main(argv=None) -> int:
     p.add_argument("--chunk-size", type=int, default=4096)
     p.add_argument("--min-ratio", type=float, default=None,
                    help="fail below this geomean (default with --quick: "
-                        "1.5 pipeline columnar/tuple, 2.0 vm "
-                        "compiled/switch, 3.0 detect vectorized/loop; "
-                        "off otherwise)")
+                        "2.0 vm compiled/switch, 3.0 detect "
+                        "vectorized/loop; off otherwise)")
     p.add_argument("--min-profile-ratio", type=float, default=None,
                    help="vm/detect suites: fail if end-to-end profile "
                         "geomean falls below this (default with "
@@ -1216,7 +1175,7 @@ def main(argv=None) -> int:
                 DETECT_BENCH_SCALE if args.suite == "detect" else 1
             )
         if args.min_ratio is None:
-            floor = {"vm": 2.0, "detect": 3.0}.get(args.suite, 1.5)
+            floor = {"vm": 2.0, "detect": 3.0}.get(args.suite, 0.0)
             args.min_ratio = floor if args.quick else 0.0
         if args.min_profile_ratio is None:
             floor = 1.5 if args.suite == "detect" else 1.25

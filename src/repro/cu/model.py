@@ -120,12 +120,6 @@ class CURegistry:
         info = self.by_region.get(region_id)
         return info.cus() if info else []
 
-    def cu_covering(self, line: int, region_id: int) -> Optional[CU]:
-        for cu in self.cus_of_region(region_id):
-            if cu.covers(line):
-                return cu
-        return None
-
     def __len__(self) -> int:
         return len(self.all_cus)
 

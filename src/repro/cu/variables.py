@@ -19,7 +19,7 @@ a fixed point.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.mir.module import Module, Region
 
@@ -60,29 +60,3 @@ def read_write_sets(
                 writes.add(RET_VAR)
     return frozenset(reads), frozenset(writes)
 
-
-def communicating_vars_refinement(
-    module: Module,
-    region: Region,
-    build: Callable[[frozenset], object],
-    communicating_of: Callable[[object], frozenset],
-    max_iterations: int = 8,
-) -> tuple[frozenset, object]:
-    """EM-style refinement (§3.2.1): global vars are the initial guess of
-    the communicating variables; rebuild CUs until the set stabilises.
-
-    ``build(vars)`` constructs CUs from a candidate variable set;
-    ``communicating_of(result)`` extracts the variables that actually carry
-    inter-CU dependences.  Returns the fixed point.
-    """
-    candidate = effective_global_vars(module, region)
-    result = build(candidate)
-    for _ in range(max_iterations):
-        refined = frozenset(communicating_of(result)) & candidate
-        if refined == candidate:
-            break
-        if not refined:
-            break
-        candidate = refined
-        result = build(candidate)
-    return candidate, result

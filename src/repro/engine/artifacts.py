@@ -81,7 +81,7 @@ class ProfileArtifact:
     store: DependenceStore
     control: dict
     #: {"reads": ..., "writes": ..., "accesses": ..., "raw_occurrences": ...,
-    #:  "backend": ..., "chunk_format": ..., "trace_nbytes": ...}
+    #:  "backend": ..., "dispatch": ..., "trace_nbytes": ...}
     stats: dict = field(default_factory=dict)
     module: Optional[Module] = None
     #: TraceSink or SpillingTraceSink — anything with events()/iter_chunks()

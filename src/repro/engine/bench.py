@@ -1,17 +1,15 @@
-"""Performance benchmarks: the event pipeline, VM dispatch, detection.
+"""Performance benchmarks: VM dispatch, detection, and the gated layers.
 
-Six suites live here:
+Five suites live here:
 
-* **pipeline** (:func:`run_pipeline_bench`) — tuple vs. columnar chunk
-  formats through the dependence profiler (the PR-2 trajectory seed,
-  ``BENCH_pipeline.json``).
 * **vm** (:func:`run_vm_bench`) — switch vs. compiled dispatch
   (:mod:`repro.runtime.compile`): instrumented recording throughput with
   bit-identical traces, untraced execution (the validate/scheduler
   path), and end-to-end engine ``profile()`` wall time
   (``BENCH_vm.json``).
-* **detect** (:func:`run_detect_bench`) — loop vs. vectorized vs.
-  multi-process sharded detection cores (:mod:`repro.profiler.sharded`):
+* **detect** (:func:`run_detect_bench`) — loop (the per-event oracle
+  over the decoded tuple view) vs. vectorized vs. multi-process sharded
+  detection cores (:mod:`repro.profiler.sharded`):
   detection throughput over a recorded trace with per-run peak memory
   (tracemalloc + detector accounting), a bit-identical-store
   equivalence sweep across the whole workload registry (threaded
@@ -44,24 +42,6 @@ Six suites live here:
   entries are healed (quarantined + recomputed, never served), that no
   torn read or leftover tmp survives, and that concurrent writers
   dedupe instead of double-computing (``BENCH_store.json``).
-
-The pipeline suite measures the hottest consumer path — pushing the
-instrumentation event stream through the dependence profiler:
-
-* **events/sec** — a workload's trace is recorded once per format, then
-  profiled with a fresh :class:`~repro.profiler.serial.SerialProfiler`
-  (best of ``reps`` passes).  The tuple path is the legacy per-event
-  tuple representation; the columnar path is the packed
-  :class:`~repro.runtime.events.EventChunk` pipeline.
-* **peak memory** — ``tracemalloc`` peaks for recording each trace
-  representation (the resident columnar/tuple footprint), plus the
-  process-wide ``ru_maxrss`` snapshot for context.
-* **equivalence** — every measured pair also asserts the two paths build
-  the identical :class:`~repro.profiler.deps.DependenceStore`.
-
-``run_pipeline_bench`` returns a JSON-ready dict; the ``repro bench``
-subcommand and ``benchmarks/bench_pipeline.py`` both drive it and write
-``BENCH_pipeline.json``.
 """
 
 from __future__ import annotations
@@ -78,10 +58,6 @@ from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.runtime.events import TraceSink
 from repro.runtime.interpreter import VM
 
-#: default measurement set: one textbook, one NAS, one BOTS workload with
-#: loop-nest shapes the columnar fast path is known to serve well
-DEFAULT_WORKLOADS = ("pi", "EP", "fft")
-
 
 def _geomean(values: list[float]) -> float:
     import math
@@ -89,112 +65,6 @@ def _geomean(values: list[float]) -> float:
     if not values:
         return 0.0
     return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def _record(module, entry: str, chunk_format: str, chunk_size: int):
-    """Run the instrumented VM once; returns (trace, vm, wall, peak_bytes)."""
-    trace = TraceSink()
-    vm = VM(module, trace, chunk_format=chunk_format, chunk_size=chunk_size)
-    tracemalloc.start()
-    t0 = time.perf_counter()
-    vm.run(entry)
-    wall = time.perf_counter() - t0
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    return trace, vm, wall, peak
-
-
-def _profile(trace, vm, reps: int) -> tuple[SerialProfiler, float]:
-    """Best-of-``reps`` profiling wall time over a recorded trace."""
-    best = float("inf")
-    profiler = None
-    for _ in range(reps):
-        profiler = SerialProfiler(PerfectShadow(), vm.loop_signature)
-        t0 = time.perf_counter()
-        for chunk in trace.chunks:
-            profiler.process_chunk(chunk)
-        best = min(best, time.perf_counter() - t0)
-    return profiler, best
-
-
-def bench_workload(
-    name: str,
-    *,
-    scale: int = 1,
-    reps: int = 3,
-    chunk_size: int = 4096,
-) -> dict:
-    """Measure one workload; returns a JSON-ready row."""
-    from repro.workloads import get_workload
-
-    workload = get_workload(name)
-    module = workload.compile(scale)
-
-    row: dict = {"workload": name, "scale": scale}
-    stores = {}
-    for chunk_format in ("tuple", "columnar"):
-        trace, vm, record_wall, record_peak = _record(
-            module, workload.entry, chunk_format, chunk_size
-        )
-        profiler, profile_wall = _profile(trace, vm, reps)
-        stores[chunk_format] = profiler.store.to_dict()
-        events = len(trace)
-        row[chunk_format] = {
-            "events": events,
-            "profile_seconds": profile_wall,
-            "events_per_sec": events / profile_wall if profile_wall else 0.0,
-            "record_seconds": record_wall,
-            "record_peak_bytes": record_peak,
-            "trace_nbytes": trace.nbytes,
-            "deps": profiler.stats.deps_built,
-        }
-    row["stores_identical"] = stores["tuple"] == stores["columnar"]
-    tuple_eps = row["tuple"]["events_per_sec"]
-    row["throughput_ratio"] = (
-        row["columnar"]["events_per_sec"] / tuple_eps if tuple_eps else 0.0
-    )
-    row["trace_bytes_ratio"] = (
-        row["tuple"]["trace_nbytes"] / row["columnar"]["trace_nbytes"]
-        if row["columnar"]["trace_nbytes"]
-        else 0.0
-    )
-    return row
-
-
-def run_pipeline_bench(
-    workloads=None,
-    *,
-    scale: int = 1,
-    reps: int = 3,
-    quick: bool = False,
-    chunk_size: int = 4096,
-) -> dict:
-    """Benchmark the event pipeline on several workloads.
-
-    ``quick`` reduces repetitions for the CI smoke gate.  The result's
-    ``throughput_ratio_geomean`` is the headline number: columnar events/sec
-    over tuple events/sec, geometric mean across workloads.
-    """
-    names = list(workloads) if workloads else list(DEFAULT_WORKLOADS)
-    if quick:
-        reps = max(2, reps - 1)
-    rows = [
-        bench_workload(name, scale=scale, reps=reps, chunk_size=chunk_size)
-        for name in names
-    ]
-    ratios = [row["throughput_ratio"] for row in rows]
-    return {
-        "bench": "pipeline",
-        "workloads": rows,
-        "throughput_ratio_geomean": _geomean(ratios),
-        "throughput_ratio_min": min(ratios) if ratios else 0.0,
-        "trace_bytes_ratio_geomean": _geomean(
-            [row["trace_bytes_ratio"] for row in rows]
-        ),
-        "all_stores_identical": all(r["stores_identical"] for r in rows),
-        "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "quick": quick,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +120,7 @@ def bench_vm_workload(
         for _ in range(reps):
             trace = TraceSink()
             vm = VM(
-                module, trace, chunk_format="columnar",
-                dispatch=dispatch, chunk_size=chunk_size,
+                module, trace, dispatch=dispatch, chunk_size=chunk_size
             )
             gc.collect()
             gc.disable()
@@ -540,7 +409,7 @@ def bench_detect_workload(
     row: dict = {"workload": name, "scale": scale, "gated": gated}
 
     trace = TraceSink()
-    vm = VM(module, trace, chunk_format="columnar", chunk_size=chunk_size)
+    vm = VM(module, trace, chunk_size=chunk_size)
     vm.run(workload.entry)
     events = len(trace)
     row["events"] = events
@@ -688,9 +557,7 @@ def detect_equivalence_sweep(
         workload = get_workload(name)
         module = workload.compile(scale)
         trace = TraceSink()
-        vm = VM(
-            module, trace, chunk_format="columnar", chunk_size=chunk_size
-        )
+        vm = VM(module, trace, chunk_size=chunk_size)
         vm.run(workload.entry)
         results = {}
         for mode in ("loop", "vectorized"):
@@ -1048,40 +915,13 @@ def format_vm_table(result: dict) -> str:
     return "\n".join(lines)
 
 
-def format_pipeline_table(result: dict) -> str:
-    """Fixed-width rendering in the benchmarks/out house style."""
-    header = (
-        f"{'workload':12s} {'events':>8s} {'tuple eps':>12s} "
-        f"{'columnar eps':>13s} {'ratio':>6s} {'bytes/evt t':>11s} "
-        f"{'bytes/evt c':>11s} {'identical':>9s}"
-    )
-    lines = [header, "-" * len(header)]
-    for row in result["workloads"]:
-        tup, col = row["tuple"], row["columnar"]
-        lines.append(
-            f"{row['workload']:12s} {tup['events']:8d} "
-            f"{tup['events_per_sec']:12.0f} {col['events_per_sec']:13.0f} "
-            f"{row['throughput_ratio']:6.2f} "
-            f"{tup['trace_nbytes'] / max(1, tup['events']):11.1f} "
-            f"{col['trace_nbytes'] / max(1, col['events']):11.1f} "
-            f"{str(row['stores_identical']):>9s}"
-        )
-    lines.append(
-        f"geomean ratio {result['throughput_ratio_geomean']:.2f}  "
-        f"(min {result['throughput_ratio_min']:.2f}); trace bytes "
-        f"{result['trace_bytes_ratio_geomean']:.2f}x smaller columnar; "
-        f"peak RSS {result['ru_maxrss_kb']} kB"
-    )
-    return "\n".join(lines)
-
-
 # ---------------------------------------------------------------------------
 # the observability suite
 # ---------------------------------------------------------------------------
 
-#: the obs bench trio mirrors the pipeline suite: one textbook, one NAS,
-#: one recursion-heavy workload, so the disabled-overhead bound covers
-#: both chunk-dense loops and call/ret-dense traces
+#: the obs bench trio: one textbook, one NAS, one recursion-heavy
+#: workload, so the disabled-overhead bound covers both chunk-dense
+#: loops and call/ret-dense traces
 OBS_BENCH_WORKLOADS = ("pi", "EP", "fft")
 
 #: instrumentation-site calibration loop length (per measurement pass)
@@ -1368,7 +1208,7 @@ def run_faults_bench(
     workload = get_workload(FAULTS_BENCH_WORKLOAD)
     module = workload.compile(scale)
     trace = TraceSink()
-    vm = VM(module, trace, chunk_format="columnar", chunk_size=chunk_size)
+    vm = VM(module, trace, chunk_size=chunk_size)
     vm.run(workload.entry)
     reference = _faults_reference(trace, vm)
 

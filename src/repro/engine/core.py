@@ -288,12 +288,7 @@ class DiscoveryEngine:
             if attach is not None:
                 attach(self.obs.tracer, self.obs.metrics)
 
-        vm = VM(
-            self.module,
-            tee,
-            chunk_format=config.chunk_format,
-            **config.resolved_vm_kwargs(),
-        )
+        vm = VM(self.module, tee, **config.resolved_vm_kwargs())
         backend.sig_decoder = vm.loop_signature
         self.vm_runs += 1
         import time as _time
@@ -307,7 +302,6 @@ class DiscoveryEngine:
         self._record_timing(f"vm_{vm.effective_dispatch}", vm_wall)
         result = backend.finish()
         stats = dict(result.stats)
-        stats["chunk_format"] = config.chunk_format
         stats["dispatch"] = vm.effective_dispatch
         # source provenance: which frontend lowered the module and where
         # the text came from, serialized with the result like dispatch/
@@ -369,9 +363,9 @@ class DiscoveryEngine:
     def build_cus(self, *, force: bool = False) -> CUArtifact:
         """Top-down CU construction over the cached trace.
 
-        Walks the trace chunk-wise: packed chunks take the columnar fast
-        path (vectorized line counts), and a spilling sink re-reads its
-        segments lazily, so the full trace never needs to be resident.
+        Walks the trace chunk-wise on the columnar path (vectorized line
+        counts), and a spilling sink re-reads its segments lazily, so the
+        full trace never needs to be resident.
         """
         if self._cus is None or force:
             import time as _time

@@ -4,8 +4,8 @@ The framework's own analyses are implemented as passes where it buys
 structure: instrumentation statistics, region verification, and the static
 half of Phase 1.  Passes are deliberately lightweight — a callable plus a
 name — managed by :class:`PassManager` which runs module passes, then
-function passes per function, then loop passes per loop region (outermost
-last, matching LLVM's LoopPass ordering).
+loop passes per loop region (outermost last, matching LLVM's LoopPass
+ordering).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.mir.instructions import Opcode
-from repro.mir.module import Function, Module, Region
+from repro.mir.module import Module, Region
 
 
 @dataclass
@@ -34,14 +34,13 @@ class PassResult:
 
 
 ModulePassFn = Callable[[Module, PassResult], None]
-FunctionPassFn = Callable[[Module, Function, PassResult], None]
 LoopPassFn = Callable[[Module, Region, PassResult], None]
 
 
 @dataclass
 class Pass:
     name: str
-    kind: str  # 'module' | 'function' | 'loop'
+    kind: str  # 'module' | 'loop'
     run: Callable
 
 
@@ -54,9 +53,6 @@ class PassManager:
     def add_module_pass(self, name: str, fn: ModulePassFn) -> None:
         self.passes.append(Pass(name, "module", fn))
 
-    def add_function_pass(self, name: str, fn: FunctionPassFn) -> None:
-        self.passes.append(Pass(name, "function", fn))
-
     def add_loop_pass(self, name: str, fn: LoopPassFn) -> None:
         self.passes.append(Pass(name, "loop", fn))
 
@@ -65,9 +61,6 @@ class PassManager:
         for p in self.passes:
             if p.kind == "module":
                 p.run(module, result)
-            elif p.kind == "function":
-                for func in module.functions.values():
-                    p.run(module, func, result)
             else:  # loop passes, innermost first then outermost (LLVM order)
                 for region in _loops_innermost_first(module):
                     p.run(module, region, result)

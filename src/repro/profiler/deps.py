@@ -25,10 +25,10 @@ class DepType:
 
 #: identity tuple: (sink_line, type, source_line, var, loop_carried,
 #:                  sink_tid, source_tid)
-#: NOTE: the columnar fast path mirrors this identity (and the
+#: NOTE: the vectorized core mirrors this identity (and the
 #: count/carriers/maybe_race merge semantics of :meth:`DependenceStore.add`)
-#: in ``repro.profiler.serial.SerialProfiler._merge_dep`` — change both
-#: together; the tuple/columnar equivalence tests in tests/test_pipeline.py
+#: in ``repro.profiler.vectorized.VectorizedProfiler`` — change both
+#: together; the oracle/vectorized equivalence tests in tests/test_detect.py
 #: are the tripwire.
 DepKey = tuple
 

@@ -51,9 +51,6 @@ from repro.runtime.events import (
     COL_KIND,
     COL_LINE,
     COL_NAME,
-    EV_BGN,
-    EV_END,
-    EV_FREE,
     EV_READ,
     EV_WRITE,
     EventChunk,
@@ -77,10 +74,6 @@ class ParallelReport:
     merge_seconds: float = 0.0
     wall_seconds: float = 0.0
     memory_bytes: int = 0
-
-    @property
-    def max_worker_load(self) -> int:
-        return max(self.work_units) if self.work_units else 0
 
     @property
     def load_imbalance(self) -> float:
@@ -190,13 +183,7 @@ class ParallelProfiler:
     def __call__(self, chunk) -> None:
         self.process_chunk(chunk)
 
-    def process_chunk(self, chunk) -> None:
-        if isinstance(chunk, EventChunk):
-            self._process_columnar(chunk)
-        else:
-            self._process_tuples(chunk)
-
-    def _process_columnar(self, chunk: EventChunk) -> None:
+    def process_chunk(self, chunk: EventChunk) -> None:
         """Vectorized sharding of a packed chunk (Formula 2.1 on a column).
 
         ``addr % W`` runs over the whole address column at once; the
@@ -204,8 +191,7 @@ class ParallelProfiler:
         patched in with one boolean mask each.  Each worker receives its
         shard as a sub-:class:`EventChunk` (order preserved, string table
         shared), with the chunk's FREE events appended to every non-empty
-        shard exactly like the tuple path broadcasts them.  Workers then
-        profile their shards through the columnar fast path.
+        shard: eviction must reach every worker.
         """
         rows = chunk.rows
         n_workers = self.n_workers
@@ -265,50 +251,7 @@ class ParallelProfiler:
             self._rebalance()
             self._chunks_since_rebalance = 0
 
-    def _process_tuples(self, chunk: list) -> None:
-        n_workers = self.n_workers
-        override = self._override
-        counts = self._access_counts
-        parts: list[list] = [[] for _ in range(n_workers)]
-        broadcast: list = []
-        for ev in chunk:
-            kind = ev[0]
-            if kind == EV_READ or kind == EV_WRITE:
-                addr = ev[1]
-                worker = override.get(addr)
-                if worker is None:
-                    worker = addr % n_workers
-                parts[worker].append(ev)
-                counts[addr] = counts.get(addr, 0) + 1
-                self.report.produced_events += 1
-            elif kind == EV_FREE:
-                broadcast.append(ev)
-            elif kind == EV_BGN:
-                rec = self.control.get(ev[1])
-                if rec is None:
-                    rec = ControlRecord(ev[1], ev[2], ev[3], ev[3])
-                    self.control[ev[1]] = rec
-                rec.executions += 1
-            elif kind == EV_END:
-                rec = self.control.get(ev[1])
-                if rec is None:
-                    rec = ControlRecord(ev[1], ev[2], ev[3], ev[3])
-                    self.control[ev[1]] = rec
-                rec.end_line = max(rec.end_line, ev[3])
-                rec.total_iterations += ev[6]
-        for w in range(n_workers):
-            part = parts[w]
-            if broadcast:
-                part.extend(broadcast)
-            if part:
-                self._dispatch(w, part)
-        self.report.produced_chunks += 1
-        self._chunks_since_rebalance += 1
-        if self._chunks_since_rebalance >= self.redistribute_every:
-            self._rebalance()
-            self._chunks_since_rebalance = 0
-
-    def _dispatch(self, worker: int, part: list) -> None:
+    def _dispatch(self, worker: int, part: EventChunk) -> None:
         if self.mode == "simulated":
             self.workers[worker].process_chunk(part)
             self.report.work_units[worker] += len(part)
@@ -358,13 +301,7 @@ class ParallelProfiler:
             self.report.redistributions += 1
 
     def _move_address(self, addr: int, src: int, dst: int) -> None:
-        """Move an address's signature state between workers.
-
-        Only the first four entry fields are the shadow interface; the
-        columnar fast path may append private cached fields (see
-        ``SerialProfiler._process_columnar``), which a move drops — the
-        receiving worker rebuilds them lazily.
-        """
+        """Move an address's signature state between workers."""
         src_prof = self.workers[src]
         dst_prof = self.workers[dst]
         if isinstance(src_prof, VectorizedProfiler):
@@ -374,23 +311,11 @@ class ParallelProfiler:
             return
         src_shadow = src_prof.shadow
         dst_shadow = dst_prof.shadow
-        if (
-            type(src_shadow) is PerfectShadow
-            and type(dst_shadow) is PerfectShadow
-        ):
-            # wholesale entry move keeps any private cached fields intact
-            lw = src_shadow.write.get(addr)
-            if lw is not None:
-                dst_shadow.write[addr] = lw
-            entry = src_shadow.reads.get(addr)
-            if entry:
-                dst_shadow.reads[addr] = dict(entry)
-        else:
-            lw = src_shadow.last_write(addr)
-            if lw is not None:
-                dst_shadow.record_write(addr, *lw[:4])
-            for rd in src_shadow.reads_since_write(addr):
-                dst_shadow.record_read(addr, *rd[:4])
+        lw = src_shadow.last_write(addr)
+        if lw is not None:
+            dst_shadow.record_write(addr, *lw)
+        for rd in src_shadow.reads_since_write(addr):
+            dst_shadow.record_read(addr, *rd)
         src_shadow.evict(addr, 1)
 
     # ------------------------------------------------------------------

@@ -38,7 +38,7 @@ def _item_bytes(item: Any) -> int:
     if nbytes is not None:
         return int(nbytes)
     try:
-        return 64 * len(item)  # legacy tuple chunks: ~64 bytes/event
+        return 64 * len(item)  # sized payloads without nbytes: ~64 B/item
     except TypeError:
         return 64
 

@@ -80,8 +80,8 @@ class PerfectShadow:
                 for addr, entry in write.items()
                 if not base <= addr < end
             }
-            # in-place: callers (the columnar fast path) hold these
-            # dicts in locals, so the identity must not change
+            # in-place: the dicts' identity must not change under
+            # callers holding a reference to them
             write.clear()
             write.update(survivors)
             survivors = {

@@ -170,7 +170,7 @@ def shard_mask(rows: np.ndarray, n_shards: int, shard: int) -> np.ndarray:
     Memory rows partition by ``addr % n_shards`` (Formula 2.1); FREE
     rows broadcast to every shard — eviction must reach each worker
     whose address range a freed block overlaps, exactly like
-    :meth:`ParallelProfiler._process_columnar`.
+    :meth:`ParallelProfiler.process_chunk`.
     """
     kinds = rows[:, COL_KIND]
     mem = kinds <= K_WRITE

@@ -131,8 +131,8 @@ class SkippingProfiler:
     def process_chunk(self, chunk) -> None:
         # The skipping filter is inherently per-event (its state machine
         # keys on single instructions), so packed chunks are consumed
-        # through the legacy tuple view; the surviving events forward to
-        # the inner profiler as tuple chunks either way.
+        # through the decoded tuple view; the surviving events forward to
+        # the inner profiler as decoded tuple lists.
         if isinstance(chunk, EventChunk):
             chunk = chunk.to_tuples()
         forward: list = []

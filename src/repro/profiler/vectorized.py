@@ -54,7 +54,7 @@ ratio.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -279,7 +279,7 @@ class VectorizedProfiler:
         self.frontier = ShadowFrontier()
         #: Formula-2.2 hash conflicts observed (signature mode only)
         self.collisions = 0
-        #: string table for tuple chunks packed through the legacy codec
+        #: string table for decoded tuple chunks packed on arrival
         self._strings: Optional[StringTable] = None
         self._buffer: list[np.ndarray] = []
         self._buffered = 0
@@ -1084,14 +1084,3 @@ class VectorizedProfiler:
         self.flush()
         return self.store
 
-
-def profile_events_vectorized(
-    events: Iterable[tuple],
-    sig_decoder: Callable[[int], tuple],
-    **kwargs,
-) -> VectorizedProfiler:
-    """Profile an already-recorded event iterable (convenience driver)."""
-    profiler = VectorizedProfiler(sig_decoder=sig_decoder, **kwargs)
-    profiler.process_chunk(events)
-    profiler.flush()
-    return profiler

@@ -1,32 +1,32 @@
-"""Instrumentation event stream formats.
+"""The instrumentation event stream.
 
-Two chunk representations flow through the pipeline:
+The VM emits **packed columnar chunks** (:class:`EventChunk`): a numpy
+int64 array (:data:`EVENT_DTYPE`) with one row of :data:`N_COLS` columns
+per event, kinds int-coded (:data:`K_READ` ...), and strings (variable
+and function names, region kinds) interned through a
+:class:`StringTable`.  Every sink stores these chunks and nothing else.
 
-* **Legacy tuple chunks** — lists of plain tuples whose first element is a
-  one-character kind code.  Layouts::
+The per-event reference walkers (the loop dependence oracle, the PET and
+top-down tuple paths, the skipping filter) read the **decoded view**:
+:meth:`EventChunk.to_tuples` (also ``iter(chunk)``) turns each row back
+into a plain tuple whose first element is a one-character kind code::
 
-      (EV_READ,   addr, line, var, op_id, tid, ts, loop_sig, var_id)
-      (EV_WRITE,  addr, line, var, op_id, tid, ts, loop_sig, var_id)
-      (EV_BGN,    region_id, kind, line, tid, ts)
-      (EV_END,    region_id, kind, line, tid, ts, iterations)
-      (EV_ITER,   region_id, tid, ts)
-      (EV_FENTRY, func_name, line, tid, ts, call_line)
-      (EV_FEXIT,  func_name, tid, ts)
-      (EV_ALLOC,  base, size, tid, ts)          # stack frame or heap block
-      (EV_FREE,   base, size, tid, ts)          # lifetime end of a block
-      (EV_LOCK,   lock_id, tid, ts)             # lock acquired
-      (EV_UNLOCK, lock_id, tid, ts)
-      (EV_SPAWN,  child_tid, tid, ts)
-      (EV_JOINED, joined_tid, tid, ts)
+    (EV_READ,   addr, line, var, op_id, tid, ts, loop_sig, var_id)
+    (EV_WRITE,  addr, line, var, op_id, tid, ts, loop_sig, var_id)
+    (EV_BGN,    region_id, kind, line, tid, ts)
+    (EV_END,    region_id, kind, line, tid, ts, iterations)
+    (EV_ITER,   region_id, tid, ts)
+    (EV_FENTRY, func_name, line, tid, ts, call_line)
+    (EV_FEXIT,  func_name, tid, ts)
+    (EV_ALLOC,  base, size, tid, ts)          # stack frame or heap block
+    (EV_FREE,   base, size, tid, ts)          # lifetime end of a block
+    (EV_LOCK,   lock_id, tid, ts)             # lock acquired
+    (EV_UNLOCK, lock_id, tid, ts)
+    (EV_SPAWN,  child_tid, tid, ts)
+    (EV_JOINED, joined_tid, tid, ts)
 
-* **Columnar chunks** (:class:`EventChunk`) — a packed numpy structured
-  array (:data:`EVENT_DTYPE`): one int64 row of :data:`N_COLS` columns per
-  event, kinds int-coded (:data:`K_READ` ...), strings (variable/function
-  names, region kinds) interned through a :class:`StringTable`.  Every
-  legacy layout maps onto the same nine columns (see :data:`COLUMNS`); the
-  adapter :meth:`EventChunk.to_tuples` decodes rows back to the legacy
-  tuples bit-for-bit, so tuple-era consumers keep working unchanged —
-  iterating an :class:`EventChunk` yields legacy tuples.
+:meth:`EventChunk.from_tuples` packs such tuples back (tests and
+hand-built streams).
 
 ``loop_sig`` is an interned id of the thread's loop-context stack
 ``((region_id, iteration), ...)`` at the time of the access — the dependence
@@ -41,7 +41,7 @@ from __future__ import annotations
 import os
 import tempfile
 from collections import deque
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -134,7 +134,7 @@ class StringTable:
     """Bidirectional interning of the strings an event stream carries.
 
     Index 0 is reserved for ``None`` (memory events of unnamed temporaries
-    carry ``var=None`` in the legacy tuples).  The table only ever grows, so
+    carry ``var=None`` in the decoded tuples).  The table only ever grows, so
     ids stay valid for the lifetime of a trace; chunks hold a reference to
     the table instead of copies.
     """
@@ -178,7 +178,7 @@ class StringTable:
 
 
 def _encode_row(ev: tuple, strings: StringTable) -> tuple:
-    """One legacy tuple -> one packed int row (the slow reference codec)."""
+    """One decoded tuple -> one packed int row (the slow reference codec)."""
     kind = ev[0]
     code = KIND_CODE[kind]
     if code <= K_WRITE:
@@ -205,7 +205,7 @@ def _encode_row(ev: tuple, strings: StringTable) -> tuple:
 
 
 def _decode_row(row: list, names: list) -> tuple:
-    """One packed int row -> the legacy tuple (inverse of _encode_row)."""
+    """One packed int row -> its decoded tuple (inverse of _encode_row)."""
     code = row[COL_KIND]
     if code <= K_WRITE:
         var_id = row[COL_VAR]
@@ -235,10 +235,9 @@ def _decode_row(row: list, names: list) -> tuple:
 class EventChunk:
     """One packed columnar chunk: a ``(n, N_COLS)`` int64 array + strings.
 
-    Iterating an :class:`EventChunk` yields the legacy tuples, so every
-    tuple-era consumer (PET builder, CU walker, skipping filter, tests)
-    accepts a columnar chunk unmodified; columnar-aware consumers detect
-    the type and read the columns directly instead.
+    Iterating an :class:`EventChunk` yields the decoded tuples, which the
+    per-event reference walkers (loop oracle, PET and CU tuple paths,
+    skipping filter) read; columnar consumers read the columns directly.
     """
 
     __slots__ = ("rows", "strings")
@@ -253,7 +252,7 @@ class EventChunk:
     def from_tuples(
         cls, events: Iterable[tuple], strings: Optional[StringTable] = None
     ) -> "EventChunk":
-        """Pack legacy tuples (the migration codec; the VM packs natively)."""
+        """Pack decoded tuples (tests, hand-built streams)."""
         strings = strings if strings is not None else StringTable()
         staged = [_encode_row(ev, strings) for ev in events]
         rows = np.array(staged, dtype=np.int64).reshape(len(staged), N_COLS)
@@ -294,10 +293,10 @@ class EventChunk:
     def nbytes(self) -> int:
         return self.rows.nbytes
 
-    # -- legacy view ---------------------------------------------------
+    # -- decoded view --------------------------------------------------
 
     def to_tuples(self) -> Iterator[tuple]:
-        """Decode rows back to the legacy tuple layouts, in order."""
+        """Decode rows to the module docstring's tuple layouts, in order."""
         names = self.strings.values
         for row in self.rows.tolist():
             yield _decode_row(row, names)
@@ -357,43 +356,38 @@ class ChunkBuilder:
         return EventChunk(rows, self.strings)
 
 
-def estimate_tuple_bytes(chunk: list) -> int:
-    """Approximate heap footprint of a legacy tuple chunk (for nbytes)."""
-    import sys
-
-    if not chunk:
-        return 0
-    sample = chunk[0]
-    per_event = sys.getsizeof(sample) + 8 * len(sample) + 8
-    return sys.getsizeof(chunk) + per_event * len(chunk)
-
-
-Chunk = Union[list, EventChunk]
-
-
 # ---------------------------------------------------------------------------
 # sinks
 # ---------------------------------------------------------------------------
 
 
+def _require_packed(chunk) -> None:
+    if not isinstance(chunk, EventChunk):
+        raise TypeError(
+            f"trace sinks record EventChunks, not {type(chunk).__name__} "
+            "(pack decoded tuples with EventChunk.from_tuples)"
+        )
+
+
 class TraceSink:
     """Sink that records the entire event stream in memory.
 
-    Accepts both chunk representations.  ``n_events`` is maintained in
-    exactly one place (:meth:`__call__`); every other view (``__len__``,
-    iteration) derives from the recorded chunks.  ``nbytes`` exposes the
-    resident footprint so memory pressure is observable.
+    ``n_events`` is maintained in exactly one place (:meth:`__call__`);
+    every other view (``__len__``, iteration) derives from the recorded
+    chunks.  ``nbytes`` exposes the resident footprint so memory pressure
+    is observable.
     """
 
     def __init__(self) -> None:
-        self.chunks: list[Chunk] = []
+        self.chunks: list[EventChunk] = []
         self.n_events = 0
 
-    def __call__(self, chunk: Chunk) -> None:
+    def __call__(self, chunk: EventChunk) -> None:
+        _require_packed(chunk)
         self.chunks.append(chunk)
         self.n_events += len(chunk)
 
-    def iter_chunks(self) -> Iterator[Chunk]:
+    def iter_chunks(self) -> Iterator[EventChunk]:
         """The recorded chunks in arrival order (columnar-aware walkers)."""
         yield from self.chunks
 
@@ -411,14 +405,8 @@ class TraceSink:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes across recorded chunks (estimate for tuples)."""
-        total = 0
-        for chunk in self.chunks:
-            if isinstance(chunk, EventChunk):
-                total += chunk.nbytes
-            else:
-                total += estimate_tuple_bytes(chunk)
-        return total
+        """Resident bytes across recorded chunks."""
+        return sum(chunk.nbytes for chunk in self.chunks)
 
 
 class SpillingTraceSink:
@@ -435,11 +423,8 @@ class SpillingTraceSink:
     exposes the on-disk files).  :meth:`events` / :meth:`iter_chunks`
     re-iterate the full trace in order, loading spilled segments lazily,
     so CU construction and report generation no longer need the whole
-    trace in memory.
-
-    Tuple chunks are packed on arrival through the reference codec; the
-    columnar VM hands over already-packed chunks and shares its string
-    table.
+    trace in memory.  The VM's chunks share its string table, which the
+    sink adopts from the first chunk.
     """
 
     def __init__(
@@ -465,12 +450,9 @@ class SpillingTraceSink:
 
     # -- ingestion -----------------------------------------------------
 
-    def __call__(self, chunk: Chunk) -> None:
-        if not isinstance(chunk, EventChunk):
-            if self._strings is None:
-                self._strings = StringTable()
-            chunk = EventChunk.from_tuples(chunk, self._strings)
-        elif self._strings is None:
+    def __call__(self, chunk: EventChunk) -> None:
+        _require_packed(chunk)
+        if self._strings is None:
             self._strings = chunk.strings
         self.n_events += len(chunk)
         self._resident.append(chunk)
@@ -586,12 +568,8 @@ def save_trace(sink, path: str) -> None:
     arrays: dict[str, np.ndarray] = {}
     strings: Optional[StringTable] = None
     for i, chunk in enumerate(sink.iter_chunks()):
-        if not isinstance(chunk, EventChunk):
-            if strings is None:
-                strings = StringTable()
-            chunk = EventChunk.from_tuples(chunk, strings)
-        else:
-            strings = chunk.strings
+        _require_packed(chunk)
+        strings = chunk.strings
         arrays[f"rows_{i:06d}"] = chunk.rows
     if strings is None:
         strings = StringTable()
@@ -621,13 +599,3 @@ class CallbackSink:
         for event in chunk:
             fn(event)
 
-
-def count_memory_accesses(sink) -> tuple[int, int]:
-    """(reads, writes) in a recorded trace."""
-    reads = writes = 0
-    for event in sink.events():
-        if event[0] == EV_READ:
-            reads += 1
-        elif event[0] == EV_WRITE:
-            writes += 1
-    return reads, writes

@@ -10,15 +10,17 @@ profiler only observes the interleaved event stream, so an instruction-level
 interleaving reproduces exactly the hazards §2.3.4 deals with (out-of-order
 pushes, races, lock-protected regions).
 
+Events are staged as packed int rows and handed to the sink as
+:class:`~repro.runtime.events.EventChunk` objects, the only format the VM
+emits.
+
 Dispatch: two execution cores run behind the ``dispatch`` knob.
 
 * ``"compiled"`` (default) — the closure-specialized core of
   :mod:`repro.runtime.compile`: each function decodes once into
   per-instruction closures with operands, address modes, and columnar
   event metadata pre-resolved, plus fused superinstructions for the
-  hottest bigrams.  Instrumented runs require the columnar chunk format;
-  a tuple-format instrumented VM silently keeps the switch core (the
-  tuple stream's reference encoder).
+  hottest bigrams.
 * ``"switch"`` — the original string-compare dispatch chain, kept as the
   bit-exact reference.  Both cores produce identical traces, schedules,
   and final state; ``tests/test_vm.py`` holds the equivalence suite.
@@ -35,19 +37,6 @@ from repro.mir.instructions import BINOPS, UNOPS, Opcode
 from repro.mir.lowering import compile_source
 from repro.mir.module import Function, Module
 from repro.runtime.events import (
-    EV_ALLOC,
-    EV_BGN,
-    EV_END,
-    EV_FENTRY,
-    EV_FEXIT,
-    EV_FREE,
-    EV_ITER,
-    EV_JOINED,
-    EV_LOCK,
-    EV_READ,
-    EV_SPAWN,
-    EV_UNLOCK,
-    EV_WRITE,
     K_ALLOC,
     K_BGN,
     K_END,
@@ -64,6 +53,7 @@ from repro.runtime.events import (
     N_COLS,
     ChunkBuilder,
     StringTable,
+    EventChunk,
     TraceSink,
 )
 from repro.runtime.memory import MemoryLayout
@@ -152,7 +142,7 @@ class VM:
     def __init__(
         self,
         module: Module,
-        sink: Optional[Callable[[list], None]] = None,
+        sink: Optional[Callable[[EventChunk], None]] = None,
         *,
         chunk_size: int = 4096,
         quantum: int = 64,
@@ -162,12 +152,9 @@ class VM:
         stack_size: int = 1 << 14,
         max_threads: int = 64,
         instrument: bool = True,
-        chunk_format: str = "tuple",
         dispatch: str = "compiled",
         tracer=None,
     ) -> None:
-        if chunk_format not in ("tuple", "columnar"):
-            raise ValueError(f"unknown chunk_format {chunk_format!r}")
         if dispatch not in ("compiled", "switch"):
             raise ValueError(f"unknown dispatch {dispatch!r}")
         self.module = module
@@ -176,7 +163,6 @@ class VM:
         #: it — only coarse sites (ParallelVM worker bursts) record spans
         self.tracer = tracer
         self.chunk_size = chunk_size
-        self.chunk_format = chunk_format
         self.quantum = quantum
         self.schedule = schedule
         self.rng = _random.Random(seed)
@@ -201,7 +187,9 @@ class VM:
         self._sig_table: dict[tuple, int] = {(): 0}
         self._sig_list: list[tuple] = [()]
 
-        self._buffer: list[tuple] = []
+        #: staged events of the next chunk: N_COLS ints per event on the
+        #: compiled traced core, one row tuple per event on the switch core
+        self._buffer: list = []
         # region metadata caches for fast marker handling
         self._region_kind = {r.region_id: r.kind for r in module.regions.values()}
         self._region_start = {
@@ -209,12 +197,11 @@ class VM:
         }
         self._region_end = {r.region_id: r.end_line for r in module.regions.values()}
 
-        # columnar emit state: every string an event can carry is interned
-        # up front (names and var ids are static per instruction), so the
-        # hot emit path stages pure-int rows.
-        self._columnar = chunk_format == "columnar"
+        # emit state: every string an event can carry is interned up front
+        # (names and var ids are static per instruction), so the hot emit
+        # path stages pure-int rows.
         self.strings: Optional[StringTable] = None
-        if self._columnar:
+        if self.instrument:
             self.strings = StringTable()
             #: op_id -> (interned var-name id, var_id int code)
             self._op_meta: dict[int, tuple[int, int]] = {}
@@ -237,13 +224,9 @@ class VM:
         self._builtins = _make_builtins()
 
         # compiled dispatch: closure tables built lazily, one per executed
-        # function.  A traced compiled core stages columnar rows natively,
-        # so an instrumented tuple-format VM keeps the switch loop (the
-        # tuple stream's reference encoder).
+        # function
         self.dispatch = dispatch
-        self._use_compiled = dispatch == "compiled" and (
-            not self.instrument or self._columnar
-        )
+        self._use_compiled = dispatch == "compiled"
         self._compiled_cache: dict = {}
         # the compiled traced core stages flat int columns (N_COLS ints
         # per event) instead of row tuples; cold emit sites flatten
@@ -254,8 +237,8 @@ class VM:
 
     @property
     def effective_dispatch(self) -> str:
-        """The core actually executing: ``"compiled"`` or ``"switch"``."""
-        return "compiled" if self._use_compiled else "switch"
+        """The core executing: ``"compiled"`` or ``"switch"``."""
+        return self.dispatch
 
     def _compiled_for(self, func):
         """The (lazily built) closure table of one function."""
@@ -273,19 +256,14 @@ class VM:
     def _flush(self) -> None:
         buf = self._buffer
         if buf and self.sink is not None:
-            if self._columnar:
-                # the staging list object must stay stable: compiled traced
-                # closures capture it (and its bound extend) at compile time
-                if self._flat_staging:
-                    chunk = self._chunks.build_flat(buf)
-                else:
-                    chunk = self._chunks.build(buf)
-                buf.clear()
-                self.sink(chunk)
+            # the staging list object must stay stable: compiled traced
+            # closures capture it (and its bound extend) at compile time
+            if self._flat_staging:
+                chunk = self._chunks.build_flat(buf)
             else:
-                # legacy tuple chunks hand the list itself to the sink
-                self.sink(buf)
-                self._buffer = []
+                chunk = self._chunks.build(buf)
+            buf.clear()
+            self.sink(chunk)
 
     def _emit(self, event: tuple) -> None:
         buf = self._buffer
@@ -298,24 +276,16 @@ class VM:
         if len(buf) >= self.chunk_size:
             self._flush()
 
-    # Cold-site helpers: one branch per legacy layout family.  The hot
-    # load/store sites inline their branch in the dispatch loop instead.
+    # Cold-site helpers, one per row family.  The hot load/store sites
+    # build their rows inline in the dispatch loop instead.
 
-    def _emit_simple(self, code: int, kind: str, operand: int, tid: int) -> None:
-        """(kind, operand, tid, ts) family: ITER/LOCK/UNLOCK/SPAWN/JOINED."""
-        if self._columnar:
-            self._emit((code, operand, 0, 0, 0, tid, self.ts, 0, 0))
-        else:
-            self._emit((kind, operand, tid, self.ts))
+    def _emit_simple(self, code: int, operand: int, tid: int) -> None:
+        """ITER/LOCK/UNLOCK/SPAWN/JOINED: operand in the addr column."""
+        self._emit((code, operand, 0, 0, 0, tid, self.ts, 0, 0))
 
-    def _emit_block(
-        self, code: int, kind: str, base: int, size: int, tid: int
-    ) -> None:
-        """(kind, base, size, tid, ts) family: ALLOC/FREE."""
-        if self._columnar:
-            self._emit((code, base, 0, 0, size, tid, self.ts, 0, 0))
-        else:
-            self._emit((kind, base, size, tid, self.ts))
+    def _emit_block(self, code: int, base: int, size: int, tid: int) -> None:
+        """ALLOC/FREE: block base in addr, size in aux."""
+        self._emit((code, base, 0, 0, size, tid, self.ts, 0, 0))
 
     # ------------------------------------------------------------------
     # loop-signature interning
@@ -399,21 +369,12 @@ class VM:
                 if len(buf) >= cap:
                     self._flush()
                 return
-            if func.frame_size:
-                self._emit_block(
-                    K_ALLOC, EV_ALLOC, frame_base, func.frame_size, thread.tid
-                )
-            if self._columnar:
-                self._emit(
-                    (K_FENTRY, 0, func.start_line,
-                     self._func_name_id[func_name], call_line, thread.tid,
-                     self.ts, 0, 0)
-                )
-            else:
-                self._emit(
-                    (EV_FENTRY, func_name, func.start_line, thread.tid,
-                     self.ts, call_line)
-                )
+            if size:
+                self._emit_block(K_ALLOC, frame_base, size, thread.tid)
+            self._emit(
+                (K_FENTRY, 0, func.start_line, self._func_name_id[func_name],
+                 call_line, thread.tid, self.ts, 0, 0)
+            )
 
     def _pop_frame(self, thread: ThreadState, value) -> None:
         frame = thread.frames.pop()
@@ -440,20 +401,14 @@ class VM:
                     if len(buf) >= cap:
                         self._flush()
             else:
-                if self._columnar:
-                    self._emit(
-                        (K_FEXIT, 0, 0,
-                         self._func_name_id[frame.func.name], 0,
-                         thread.tid, self.ts, 0, 0)
-                    )
-                else:
-                    self._emit(
-                        (EV_FEXIT, frame.func.name, thread.tid, self.ts)
-                    )
+                self._emit(
+                    (K_FEXIT, 0, 0, self._func_name_id[frame.func.name], 0,
+                     thread.tid, self.ts, 0, 0)
+                )
                 if frame.func.frame_size:
                     self._emit_block(
-                        K_FREE, EV_FREE, frame.frame_base,
-                        frame.func.frame_size, thread.tid,
+                        K_FREE, frame.frame_base, frame.func.frame_size,
+                        thread.tid,
                     )
         thread.sp = frame.frame_base
         if thread.frames:
@@ -487,24 +442,11 @@ class VM:
                 thread.loop_stack.pop()
                 self._intern_sig(thread)
         if self.instrument:
-            if self._columnar:
-                self._emit(
-                    (K_END, region_id, self._region_end[region_id],
-                     self._region_kind_id[region_id], iters, thread.tid,
-                     self.ts, 0, 0)
-                )
-            else:
-                self._emit(
-                    (
-                        EV_END,
-                        region_id,
-                        kind,
-                        self._region_end[region_id],
-                        thread.tid,
-                        self.ts,
-                        iters,
-                    )
-                )
+            self._emit(
+                (K_END, region_id, self._region_end[region_id],
+                 self._region_kind_id[region_id], iters, thread.tid,
+                 self.ts, 0, 0)
+            )
 
     # ------------------------------------------------------------------
     # execution
@@ -600,8 +542,7 @@ class VM:
     def _run_thread_switch(self, thread: ThreadState, quantum: int) -> None:
         memory = self.memory
         instrument = self.instrument
-        columnar = self._columnar
-        op_meta = self._op_meta if columnar else None
+        op_meta = self._op_meta if instrument else None
         tid = thread.tid
         steps = 0
         while steps < quantum and thread.status == RUNNABLE and thread.frames:
@@ -628,27 +569,12 @@ class VM:
                         addr = regs[ref[1]]
                     regs[instr.dest] = memory[addr]
                     if instrument:
-                        if columnar:
-                            op_id = instr.op_id
-                            name_id, var_code = op_meta[op_id]
-                            self._emit(
-                                (K_READ, addr, instr.line, name_id, op_id,
-                                 tid, self.ts, thread.sig_id, var_code)
-                            )
-                        else:
-                            self._emit(
-                                (
-                                    EV_READ,
-                                    addr,
-                                    instr.line,
-                                    instr.var,
-                                    instr.op_id,
-                                    tid,
-                                    self.ts,
-                                    thread.sig_id,
-                                    instr.var_id,
-                                )
-                            )
+                        op_id = instr.op_id
+                        name_id, var_code = op_meta[op_id]
+                        self._emit(
+                            (K_READ, addr, instr.line, name_id, op_id,
+                             tid, self.ts, thread.sig_id, var_code)
+                        )
                 elif op == "store":
                     ref = instr.a
                     space = ref[0]
@@ -661,27 +587,12 @@ class VM:
                     src = instr.b
                     memory[addr] = src[1] if src[0] == "i" else regs[src[1]]
                     if instrument:
-                        if columnar:
-                            op_id = instr.op_id
-                            name_id, var_code = op_meta[op_id]
-                            self._emit(
-                                (K_WRITE, addr, instr.line, name_id, op_id,
-                                 tid, self.ts, thread.sig_id, var_code)
-                            )
-                        else:
-                            self._emit(
-                                (
-                                    EV_WRITE,
-                                    addr,
-                                    instr.line,
-                                    instr.var,
-                                    instr.op_id,
-                                    tid,
-                                    self.ts,
-                                    thread.sig_id,
-                                    instr.var_id,
-                                )
-                            )
+                        op_id = instr.op_id
+                        name_id, var_code = op_meta[op_id]
+                        self._emit(
+                            (K_WRITE, addr, instr.line, name_id, op_id,
+                             tid, self.ts, thread.sig_id, var_code)
+                        )
                 elif op == "bin":
                     bop = instr.a
                     lhs = instr.b
@@ -730,30 +641,17 @@ class VM:
                         thread.loop_stack.append([region_id, 0])
                         self._intern_sig(thread)
                     if instrument:
-                        if columnar:
-                            self._emit(
-                                (K_BGN, region_id,
-                                 self._region_start[region_id],
-                                 self._region_kind_id[region_id], 0, tid,
-                                 self.ts, 0, 0)
-                            )
-                        else:
-                            self._emit(
-                                (
-                                    EV_BGN,
-                                    region_id,
-                                    kind,
-                                    self._region_start[region_id],
-                                    tid,
-                                    self.ts,
-                                )
-                            )
+                        self._emit(
+                            (K_BGN, region_id, self._region_start[region_id],
+                             self._region_kind_id[region_id], 0, tid,
+                             self.ts, 0, 0)
+                        )
                 elif op == "iter":
                     top = thread.loop_stack[-1]
                     top[1] += 1
                     self._intern_sig(thread)
                     if instrument:
-                        self._emit_simple(K_ITER, EV_ITER, instr.a, tid)
+                        self._emit_simple(K_ITER, instr.a, tid)
                 elif op == "exit":
                     region_id = instr.a
                     while frame.region_stack:
@@ -797,7 +695,7 @@ class VM:
                     if instr.dest is not None:
                         regs[instr.dest] = child.tid
                     if instrument:
-                        self._emit_simple(K_SPAWN, EV_SPAWN, child.tid, tid)
+                        self._emit_simple(K_SPAWN, child.tid, tid)
                     thread.pc = pc
                     break  # give the scheduler a chance to interleave
                 elif op == "join":
@@ -807,7 +705,7 @@ class VM:
                         raise VMError(f"join of unknown thread {target}")
                     if self.threads[target].status == DONE:
                         if instrument:
-                            self._emit_simple(K_JOINED, EV_JOINED, target, tid)
+                            self._emit_simple(K_JOINED, target, tid)
                     else:
                         thread.status = BLOCKED_JOIN
                         thread.wait_target = target
@@ -820,7 +718,7 @@ class VM:
                     if owner is None:
                         self._lock_owner[lock_id] = tid
                         if instrument:
-                            self._emit_simple(K_LOCK, EV_LOCK, lock_id, tid)
+                            self._emit_simple(K_LOCK, lock_id, tid)
                     elif owner == tid:
                         raise VMError(f"thread {tid} re-locks lock {lock_id}")
                     else:
@@ -838,7 +736,7 @@ class VM:
                         )
                     del self._lock_owner[lock_id]
                     if instrument:
-                        self._emit_simple(K_UNLOCK, EV_UNLOCK, lock_id, tid)
+                        self._emit_simple(K_UNLOCK, lock_id, tid)
                     waiters = self._lock_waiters.get(lock_id)
                     if waiters:
                         woken = waiters.popleft()
@@ -878,14 +776,14 @@ def _make_builtins() -> dict:
             for i in range(base, base + size):
                 memory[i] = 0
         if vm.instrument:
-            vm._emit_block(K_ALLOC, EV_ALLOC, base, size, thread.tid)
+            vm._emit_block(K_ALLOC, base, size, thread.tid)
         return base
 
     def _free(vm: VM, thread: ThreadState, args: list):
         base = int(args[0])
         size = vm.layout.heap_free(base)
         if vm.instrument:
-            vm._emit_block(K_FREE, EV_FREE, base, size, thread.tid)
+            vm._emit_block(K_FREE, base, size, thread.tid)
         return 0
 
     def _print(vm: VM, thread: ThreadState, args: list):
@@ -922,7 +820,7 @@ def _make_builtins() -> dict:
 def run_module(
     module: Module,
     *,
-    sink: Optional[Callable[[list], None]] = None,
+    sink: Optional[Callable[[EventChunk], None]] = None,
     entry: str = "main",
     **vm_kwargs,
 ):

@@ -64,11 +64,3 @@ class MemoryLayout:
             raise MemoryError(f"free of non-allocated address {base}")
         self._free.setdefault(size, []).append(base)
         return size
-
-    @property
-    def heap_used(self) -> int:
-        return self._heap_next - self.heap_base
-
-    @property
-    def total_words(self) -> int:
-        return self._heap_next

@@ -13,9 +13,6 @@ from repro.runtime.events import (
     COL_KIND,
     COL_TID,
     COL_TS,
-    EV_BGN,
-    EV_ITER,
-    EventChunk,
     K_BGN,
     K_ITER,
 )
@@ -180,59 +177,25 @@ def collect_iteration_costs(trace, region_ids) -> dict[int, list[int]]:
     markers: dict[int, list[tuple[int, int]]] = {r: [] for r in wanted}
     if not wanted:
         return {}
-    multi_threaded = False
     tid0 = None
     for chunk in trace.iter_chunks():
-        if isinstance(chunk, EventChunk):
-            rows = chunk.rows
-            if rows.shape[0] == 0:
-                continue
-            tids = rows[:, COL_TID]
-            if tid0 is None:
-                tid0 = int(tids[0])
-            if not (tids == tid0).all():
-                multi_threaded = True
-                break
-            kinds = rows[:, COL_KIND]
-            mask = (kinds == K_ITER) | (kinds == K_BGN)
-            for code, rid, ts in zip(
-                kinds[mask].tolist(),
-                rows[mask, COL_ADDR].tolist(),
-                rows[mask, COL_TS].tolist(),
-            ):
-                if rid in wanted:
-                    markers[rid].append((code, ts))
-        else:
-            for event in chunk:
-                kind = event[0]
-                if kind == EV_ITER:
-                    if tid0 is None:
-                        tid0 = event[2]
-                    elif event[2] != tid0:
-                        multi_threaded = True
-                        break
-                    if event[1] in wanted:
-                        markers[event[1]].append((K_ITER, event[3]))
-                elif kind == EV_BGN:
-                    if tid0 is None:
-                        tid0 = event[4]
-                    elif event[4] != tid0:
-                        multi_threaded = True
-                        break
-                    if event[1] in wanted:
-                        markers[event[1]].append((K_BGN, event[5]))
-                else:
-                    tid = _event_tid(event)
-                    if tid is not None:
-                        if tid0 is None:
-                            tid0 = tid
-                        elif tid != tid0:
-                            multi_threaded = True
-                            break
-        if multi_threaded:
-            break
-    if multi_threaded:
-        return {}
+        rows = chunk.rows
+        if rows.shape[0] == 0:
+            continue
+        tids = rows[:, COL_TID]
+        if tid0 is None:
+            tid0 = int(tids[0])
+        if not (tids == tid0).all():
+            return {}
+        kinds = rows[:, COL_KIND]
+        mask = (kinds == K_ITER) | (kinds == K_BGN)
+        for code, rid, ts in zip(
+            kinds[mask].tolist(),
+            rows[mask, COL_ADDR].tolist(),
+            rows[mask, COL_TS].tolist(),
+        ):
+            if rid in wanted:
+                markers[rid].append((code, ts))
     out: dict[int, list[int]] = {}
     for rid, entries in markers.items():
         costs: list[int] = []
@@ -248,18 +211,6 @@ def collect_iteration_costs(trace, region_ids) -> dict[int, list[int]]:
         if executions == 1 and costs:
             out[rid] = costs
     return out
-
-
-#: legacy tuple layouts: event kind -> index of the tid field
-_TUPLE_TID_INDEX = {
-    "R": 5, "W": 5, "G": 4, "E": 4, "I": 2, "C": 3, "X": 2,
-    "A": 3, "F": 3, "L": 2, "U": 2, "S": 2, "J": 2,
-}
-
-
-def _event_tid(event) -> Optional[int]:
-    index = _TUPLE_TID_INDEX.get(event[0])
-    return event[index] if index is not None else None
 
 
 def whole_program_speedup(

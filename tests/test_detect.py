@@ -2,9 +2,9 @@
 
 The overhaul's contract: the segmented-scan detector
 (:mod:`repro.profiler.vectorized`) is an exact, faster drop-in for the
-per-event loop detector — bit-identical :class:`DependenceStore`
+per-event loop oracle — bit-identical :class:`DependenceStore`
 contents and control records on every registry workload (threaded
-included), across chunk formats, batch boundaries, shadow modes, and
+included), across batch boundaries, shadow modes, and
 variable-lifetime eviction — selected through ``DiscoveryConfig.detect``
 and reported in ``DiscoveryResult.profile_stats``.
 """
@@ -37,23 +37,21 @@ THREADED = [n for n in ALL_WORKLOADS if REGISTRY[n].threaded]
 BOUNDARY_WORKLOADS = ("histogram", "fft", "md5-pthread")
 
 
-def record(name: str, *, chunk_format: str = "columnar", **vm_kwargs):
+def record(name: str, **vm_kwargs):
     workload = get_workload(name)
     module = workload.compile(1)
     trace = TraceSink()
-    vm = VM(module, trace, chunk_format=chunk_format, **vm_kwargs)
+    vm = VM(module, trace, **vm_kwargs)
     vm.run(workload.entry)
     return trace, vm
 
 
-def loop_profile(trace, vm, *, slots=None, tuples=False):
+def loop_profile(trace, vm, *, slots=None):
+    """The loop oracle, walking each chunk's decoded tuple view."""
     shadow = PerfectShadow() if slots is None else SignatureShadow(slots)
     profiler = SerialProfiler(shadow, vm.loop_signature)
     for chunk in trace.chunks:
-        if tuples:
-            profiler.process_chunk(list(chunk))
-        else:
-            profiler.process_chunk(chunk)
+        profiler.process_chunk(chunk)
     return profiler
 
 
@@ -79,16 +77,14 @@ def state_of(profiler):
 
 
 class TestThreeWayMatrix:
-    """tuple loop × columnar loop × vectorized over the whole registry."""
+    """Loop oracle × vectorized over the whole registry."""
 
     @pytest.mark.parametrize("name", ALL_WORKLOADS)
     def test_store_equality(self, name):
         trace, vm = record(name)
-        tuple_loop = loop_profile(trace, vm, tuples=True)
-        columnar_loop = loop_profile(trace, vm)
+        oracle = loop_profile(trace, vm)
         vectorized = vec_profile(trace, vm)
-        assert state_of(tuple_loop) == state_of(columnar_loop), name
-        assert state_of(columnar_loop) == state_of(vectorized), name
+        assert state_of(oracle) == state_of(vectorized), name
 
     def test_threaded_present(self):
         # the matrix above must include every threaded workload
@@ -184,18 +180,24 @@ class TestEviction:
         assert not any(d.sink_line == 15 for d in profiler.store.all())
 
     def test_bulk_evict_inside_columnar_chunk(self):
-        """The columnar loop path caches the shadow dicts in locals, so
-        bulk eviction must mutate them in place, not rebind them."""
+        """A packed chunk carrying a huge FREE evicts in bulk on both
+        cores: the oracle over its decoded view and the vectorized
+        frontier over its rows."""
         from repro.runtime.events import EventChunk
 
         events = self._lifetime_events(1000, 10_000_000)
         tuple_prof = SerialProfiler(PerfectShadow(), lambda s: ())
         tuple_prof.process_chunk(events)
+        chunk = EventChunk.from_tuples(events)
         columnar_prof = SerialProfiler(PerfectShadow(), lambda s: ())
-        columnar_prof.process_chunk(EventChunk.from_tuples(events))
+        columnar_prof.process_chunk(chunk)
+        vec = VectorizedProfiler()
+        vec.process_chunk(chunk)
+        vec.flush()
         assert (
             columnar_prof.store.to_dict() == tuple_prof.store.to_dict()
         )
+        assert vec.store.to_dict() == tuple_prof.store.to_dict()
         assert columnar_prof.shadow.n_tracked == 8
         assert 15 in columnar_prof.store.init_lines
 
@@ -243,7 +245,7 @@ class TestBackendsAndConfig:
         results = {}
         for detect in ("loop", "vectorized"):
             backend = make_backend("serial", detect=detect)
-            vm = VM(module, backend, chunk_format="columnar")
+            vm = VM(module, backend)
             backend.sig_decoder = vm.loop_signature
             vm.run(workload.entry)
             result = backend.finish()
@@ -269,7 +271,7 @@ class TestBackendsAndConfig:
             backend = make_backend(
                 "parallel", n_workers=4, detect=detect
             )
-            vm = VM(module, backend, chunk_format="columnar")
+            vm = VM(module, backend)
             backend.sig_decoder = vm.loop_signature
             vm.run(workload.entry)
             result = backend.finish()

@@ -406,7 +406,7 @@ class TestShardedErrorObs:
 
         workload = get_workload("histogram")
         trace = TraceSink()
-        vm = VM(workload.compile(1), trace, chunk_format="columnar")
+        vm = VM(workload.compile(1), trace)
         vm.run(workload.entry)
         det = ShardedDetector(None, vm.loop_signature, n_shards=2)
         det.attach_obs(Tracer(enabled=True), MetricsRegistry())

@@ -1,9 +1,12 @@
 """Columnar event pipeline: packing, equivalence, spilling, backends.
 
-The refactor's contract: the packed (columnar) event path is an exact,
-faster drop-in for the legacy tuple path — bit-identical DependenceStore
-contents, identical control records and shadow behaviour — while the
-spilling sink bounds resident trace memory without losing re-iterability.
+The VM emits packed :class:`EventChunk` s only; tuples survive as the
+decoded view (``EventChunk.to_tuples``) that the per-event reference
+walkers read.  The contract: every columnar consumer is an exact drop-in
+for its oracle over the decoded view — bit-identical DependenceStore
+contents, identical control records, PET trees, CU registries and skip
+statistics — while the spilling sink bounds resident trace memory
+without losing re-iterability.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
 from repro.profiler.skipping import SkippingProfiler
+from repro.profiler.vectorized import VectorizedProfiler
 from repro.runtime.events import (
     EVENT_DTYPE,
+    KIND_CODE,
     EventChunk,
     SpillingTraceSink,
     StringTable,
@@ -38,36 +43,41 @@ TEXTBOOK = "histogram"
 NAS = "CG"
 
 
-def record(module, entry: str, chunk_format: str, **vm_kwargs):
+def record(module, entry: str, **vm_kwargs):
     trace = TraceSink()
-    vm = VM(module, trace, chunk_format=chunk_format, **vm_kwargs)
+    vm = VM(module, trace, **vm_kwargs)
     vm.run(entry)
     return trace, vm
 
 
+def decoded_chunks(trace) -> list:
+    """The trace's chunks as decoded tuple lists (the oracle's input)."""
+    return [list(chunk.to_tuples()) for chunk in trace.chunks]
+
+
 @pytest.fixture(scope="module")
 def recorded():
-    """Both-format traces for the textbook + NAS workloads."""
+    """Recorded traces for the textbook + NAS workloads."""
     out = {}
     for name in (TEXTBOOK, NAS):
         workload = get_workload(name)
-        module = workload.compile(1)
-        out[name] = {
-            fmt: record(module, workload.entry, fmt)
-            for fmt in ("tuple", "columnar")
-        }
+        out[name] = record(workload.compile(1), workload.entry)
     return out
 
 
 class TestPackedFormat:
     def test_decoded_stream_is_bit_identical(self, recorded):
-        for name, pair in recorded.items():
-            tuples = list(pair["tuple"][0].events())
-            decoded = list(pair["columnar"][0].events())
-            assert tuples == decoded, name
+        """The decoded view is lossless: re-packing it reproduces the
+        VM's rows and string ids exactly."""
+        for name, (trace, vm) in recorded.items():
+            for chunk in trace.chunks:
+                strings = StringTable(list(vm.strings.values))
+                repacked = EventChunk.from_tuples(chunk.to_tuples(), strings)
+                assert np.array_equal(repacked.rows, chunk.rows), name
+                assert strings.values == vm.strings.values, name
 
     def test_event_dtype_layout(self, recorded):
-        chunk = recorded[TEXTBOOK]["columnar"][0].chunks[0]
+        chunk = recorded[TEXTBOOK][0].chunks[0]
         assert isinstance(chunk, EventChunk)
         structured = chunk.structured
         assert structured.dtype == EVENT_DTYPE
@@ -75,7 +85,7 @@ class TestPackedFormat:
         assert chunk.nbytes == len(chunk) * EVENT_DTYPE.itemsize
 
     def test_pack_roundtrip_from_tuples(self, recorded):
-        trace = recorded[TEXTBOOK]["tuple"][0]
+        trace = recorded[TEXTBOOK][0]
         events = list(trace.events())[:500]
         chunk = EventChunk.from_tuples(events)
         assert list(chunk.to_tuples()) == events
@@ -92,75 +102,191 @@ class TestPackedFormat:
         assert restored.values == table.values
 
 
+#: a loop, a global read/write, a call with a local frame (ALLOC/FREE;
+#: base != size, so the two fields cannot swap unnoticed)
+GOLDEN_SEQUENTIAL = """int g;
+int add(int x) {
+  int t[2];
+  t[1] = x + g;
+  return t[1];
+}
+int main() {
+  for (int i = 0; i < 2; i++) {
+    g = g + i;
+  }
+  return add(g);
+}
+"""
+
+GOLDEN_SEQUENTIAL_EVENTS = [
+    ("A", 1, 1, 0, 0),
+    ("C", "main", 7, 0, 0, 0),
+    ("G", 3, "loop", 8, 0, 1),
+    ("W", 1, 8, "i", 5, 0, 2, 1, 3),
+    ("R", 1, 8, "i", 6, 0, 4, 1, 3),
+    ("R", 0, 9, "g", 7, 0, 7, 1, 0),
+    ("R", 1, 9, "i", 8, 0, 8, 1, 3),
+    ("W", 0, 9, "g", 9, 0, 10, 1, 0),
+    ("R", 1, 8, "i", 10, 0, 12, 1, 3),
+    ("W", 1, 8, "i", 11, 0, 14, 1, 3),
+    ("I", 3, 0, 15),
+    ("R", 1, 8, "i", 6, 0, 17, 2, 3),
+    ("R", 0, 9, "g", 7, 0, 20, 2, 0),
+    ("R", 1, 9, "i", 8, 0, 21, 2, 3),
+    ("W", 0, 9, "g", 9, 0, 23, 2, 0),
+    ("R", 1, 8, "i", 10, 0, 25, 2, 3),
+    ("W", 1, 8, "i", 11, 0, 27, 2, 3),
+    ("I", 3, 0, 28),
+    ("R", 1, 8, "i", 6, 0, 30, 3, 3),
+    ("E", 3, "loop", 10, 0, 33, 2),
+    ("R", 0, 11, "g", 12, 0, 34, 0, 0),
+    ("A", 2, 3, 0, 35),
+    ("C", "add", 2, 0, 35, 11),
+    ("W", 2, 2, "x", 0, 0, 36, 0, 1),
+    ("R", 2, 4, "x", 1, 0, 39, 0, 1),
+    ("R", 0, 4, "g", 2, 0, 40, 0, 0),
+    ("W", 4, 4, "t", 3, 0, 42, 0, 2),
+    ("R", 4, 5, "t", 4, 0, 45, 0, 2),
+    ("X", "add", 0, 46),
+    ("F", 2, 3, 0, 46),
+    ("X", "main", 0, 47),
+    ("F", 1, 1, 0, 47),
+]
+
+#: the thread families: SPAWN, LOCK, UNLOCK, JOINED
+GOLDEN_THREADED = """int g;
+void worker() {
+  lock(1);
+  g = g + 1;
+  unlock(1);
+}
+int main() {
+  int t = spawn worker();
+  join(t);
+  return g;
+}
+"""
+
+GOLDEN_THREADED_EVENTS = [
+    ("A", 1, 1, 0, 0),
+    ("C", "main", 7, 0, 0, 0),
+    ("C", "worker", 2, 1, 1, 8),
+    ("S", 1, 0, 1),
+    ("W", 1, 8, "t", 2, 0, 2, 0, 1),
+    ("R", 1, 9, "t", 3, 0, 3, 0, 1),
+    ("L", 1, 1, 5),
+    ("R", 0, 4, "g", 0, 1, 6, 0, 0),
+    ("W", 0, 4, "g", 1, 1, 8, 0, 0),
+    ("U", 1, 1, 9),
+    ("X", "worker", 1, 10),
+    ("J", 1, 0, 11),
+    ("R", 0, 10, "g", 4, 0, 12, 0, 0),
+    ("X", "main", 0, 13),
+    ("F", 1, 1, 0, 13),
+]
+
+
+class TestTupleViewGolden:
+    """The decoded tuple view, pinned event by event.
+
+    Every family's field order, kind letter and int code, and every
+    interned name the view decodes, is hard-coded here; both VM cores
+    must reproduce it exactly.
+    """
+
+    @pytest.mark.parametrize("dispatch", ["compiled", "switch"])
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            (GOLDEN_SEQUENTIAL, GOLDEN_SEQUENTIAL_EVENTS),
+            (GOLDEN_THREADED, GOLDEN_THREADED_EVENTS),
+        ],
+        ids=["sequential", "threaded"],
+    )
+    def test_decoded_events(self, source, expected, dispatch):
+        _, trace, vm = run_source(source, dispatch=dispatch)
+        assert vm.effective_dispatch == dispatch
+        assert list(trace.events()) == expected
+        rows = np.concatenate([chunk.rows for chunk in trace.chunks])
+        assert rows[:, 0].tolist() == [KIND_CODE[ev[0]] for ev in expected]
+
+    def test_kind_codes(self):
+        assert KIND_CODE == {
+            "R": 0, "W": 1, "G": 2, "E": 3, "I": 4, "C": 5, "X": 6,
+            "A": 7, "F": 8, "L": 9, "U": 10, "S": 11, "J": 12,
+        }
+
+
 class TestSinkAccounting:
     def test_n_events_single_source_of_truth(self, recorded):
-        for pair in recorded.values():
-            for trace, _ in pair.values():
-                assert trace.n_events == sum(len(c) for c in trace.chunks)
-                assert len(trace) == trace.n_events
-                assert trace.n_events == sum(1 for _ in trace.events())
+        for trace, _ in recorded.values():
+            assert trace.n_events == sum(len(c) for c in trace.chunks)
+            assert len(trace) == trace.n_events
+            assert trace.n_events == sum(1 for _ in trace.events())
 
     def test_nbytes_observable(self, recorded):
-        tuple_trace = recorded[TEXTBOOK]["tuple"][0]
-        packed_trace = recorded[TEXTBOOK]["columnar"][0]
-        assert packed_trace.nbytes == packed_trace.n_events * 72
-        # the tuple estimate is per-event and strictly larger
-        assert tuple_trace.nbytes > packed_trace.nbytes
+        trace = recorded[TEXTBOOK][0]
+        assert trace.nbytes == trace.n_events * 72
+        assert trace.nbytes == sum(c.rows.nbytes for c in trace.chunks)
 
 
-def profile_trace(trace, vm, shadow=None):
+def oracle_profile(trace, vm, shadow=None):
+    """The loop oracle over the decoded tuple view."""
     profiler = SerialProfiler(
         shadow if shadow is not None else PerfectShadow(), vm.loop_signature
     )
+    for chunk in decoded_chunks(trace):
+        profiler.process_chunk(chunk)
+    return profiler
+
+
+def columnar_profile(trace, vm, slots=None):
+    """The columnar fast path: the vectorized core over packed chunks."""
+    profiler = VectorizedProfiler(slots, vm.loop_signature)
     for chunk in trace.chunks:
         profiler.process_chunk(chunk)
+    profiler.flush()
     return profiler
 
 
 class TestSerialEquivalence:
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_dependence_store_bit_identical(self, recorded, name):
-        pair = recorded[name]
-        p_tuple = profile_trace(*pair["tuple"])
-        p_packed = profile_trace(*pair["columnar"])
-        assert p_tuple.store.to_dict() == p_packed.store.to_dict()
-        assert {k: r.to_dict() for k, r in p_tuple.control.items()} == {
-            k: r.to_dict() for k, r in p_packed.control.items()
+        oracle = oracle_profile(*recorded[name])
+        packed = columnar_profile(*recorded[name])
+        assert oracle.store.to_dict() == packed.store.to_dict()
+        assert {k: r.to_dict() for k, r in oracle.control.items()} == {
+            k: r.to_dict() for k, r in packed.control.items()
         }
-        assert p_tuple.stats.reads == p_packed.stats.reads
-        assert p_tuple.stats.writes == p_packed.stats.writes
-        assert p_tuple.stats.deps_built == p_packed.stats.deps_built
-        assert p_tuple.stats.evictions == p_packed.stats.evictions
+        assert oracle.stats.reads == packed.stats.reads
+        assert oracle.stats.writes == packed.stats.writes
+        assert oracle.stats.evictions == packed.stats.evictions
+        assert oracle.stats.deps_built == oracle.store.raw_occurrences
+        assert oracle.store.raw_occurrences == packed.store.raw_occurrences
 
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_signature_shadow_collisions_unchanged(self, recorded, name):
-        pair = recorded[name]
-        s_tuple = SignatureShadow(251)
-        s_packed = SignatureShadow(251)
-        p_tuple = profile_trace(*pair["tuple"], shadow=s_tuple)
-        p_packed = profile_trace(*pair["columnar"], shadow=s_packed)
-        assert p_tuple.store.to_dict() == p_packed.store.to_dict()
-        assert s_tuple.collisions == s_packed.collisions
-        assert s_tuple.collisions > 0  # 251 slots must alias something
+        shadow = SignatureShadow(251)
+        oracle = oracle_profile(*recorded[name], shadow=shadow)
+        packed = columnar_profile(*recorded[name], slots=251)
+        assert oracle.store.to_dict() == packed.store.to_dict()
+        assert shadow.collisions == packed.collisions
+        assert shadow.collisions > 0  # 251 slots must alias something
 
     def test_large_op_ids_do_not_alias_memo_keys(self):
-        """op_id past the int64-safe 11 bits must not merge distinct deps.
-
-        Regression: the vectorized occurrence-key base wrapped int64 for
-        ``op_id >= 2048``, aliasing (op 5, op 4101) into one memo key and
-        silently merging two different RAW dependences.
-        """
+        """op_id past 11 bits must not merge distinct deps on either core."""
         events = [
             ("W", 1, 1, "x", 5, 0, 1, 0, 1),
             ("R", 1, 10, "x", 5, 0, 2, 0, 1),
             ("R", 1, 99, "y", 4101, 0, 3, 0, 2),
         ]
-        p_tuple = SerialProfiler(PerfectShadow())
-        p_tuple.process_chunk(events)
-        p_packed = SerialProfiler(PerfectShadow())
-        p_packed.process_chunk(EventChunk.from_tuples(events))
-        assert p_tuple.store.to_dict() == p_packed.store.to_dict()
-        assert len(p_packed.store) == 2
+        oracle = SerialProfiler(PerfectShadow())
+        oracle.process_chunk(events)
+        packed = VectorizedProfiler()
+        packed.process_chunk(EventChunk.from_tuples(events))
+        packed.flush()
+        assert oracle.store.to_dict() == packed.store.to_dict()
+        assert len(packed.store) == 2
 
     def test_multithreaded_equivalence(self):
         src = """
@@ -182,61 +308,64 @@ class TestSerialEquivalence:
         }
         """
         module = compile_source(src)
-        results = {}
-        for fmt in ("tuple", "columnar"):
-            trace, vm = record(module, "main", fmt, quantum=8)
-            results[fmt] = profile_trace(trace, vm)
+        trace, vm = record(module, "main", quantum=8)
+        assert len({row[5] for row in trace.events() if row[0] == "R"}) > 1
         assert (
-            results["tuple"].store.to_dict()
-            == results["columnar"].store.to_dict()
+            oracle_profile(trace, vm).store.to_dict()
+            == columnar_profile(trace, vm).store.to_dict()
         )
 
 
 class TestParallelEquivalence:
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_sharded_store_matches_tuple_path(self, recorded, name):
-        pair = recorded[name]
-        stores = {}
-        for fmt, (trace, vm) in pair.items():
+        trace, vm = recorded[name]
+        for detect in ("loop", "vectorized"):
             profiler = ParallelProfiler(
-                4, sig_decoder=vm.loop_signature, redistribute_every=4
+                4, sig_decoder=vm.loop_signature, redistribute_every=4,
+                detect=detect,
             )
             for chunk in trace.chunks:
                 profiler.process_chunk(chunk)
-            stores[fmt] = profiler.finish()
-            report = profiler.report
-            assert report.produced_events > 0
-        assert stores["tuple"].to_dict() == stores["columnar"].to_dict()
+            store = profiler.finish()
+            assert profiler.report.produced_events > 0
+            assert profiler.report.redistributions > 0
+            assert store.to_dict() == oracle_profile(trace, vm).store.to_dict()
 
 
 class TestSkippingAndPET:
     def test_skipping_accepts_packed_chunks(self, recorded):
-        pair = recorded[TEXTBOOK]
+        trace, vm = recorded[TEXTBOOK]
         results = {}
-        for fmt, (trace, vm) in pair.items():
+        for path, chunks in (
+            ("tuple", decoded_chunks(trace)), ("columnar", trace.chunks),
+        ):
             skipper = SkippingProfiler(
                 SerialProfiler(PerfectShadow(), vm.loop_signature)
             )
-            for chunk in trace.chunks:
+            for chunk in chunks:
                 skipper.process_chunk(chunk)
-            results[fmt] = skipper
+            results[path] = skipper
         assert (
             results["tuple"].store.to_dict()
             == results["columnar"].store.to_dict()
         )
+        assert results["columnar"].stats.skipped > 0
         assert (
             results["tuple"].stats.skipped
             == results["columnar"].stats.skipped
         )
 
     def test_pet_tree_identical(self, recorded):
-        for name, pair in recorded.items():
+        for name, (trace, _) in recorded.items():
             trees = {}
-            for fmt, (trace, _) in pair.items():
+            for path, chunks in (
+                ("tuple", decoded_chunks(trace)), ("columnar", trace.chunks),
+            ):
                 pet = PETBuilder()
-                for chunk in trace.chunks:
+                for chunk in chunks:
                     pet.process_chunk(chunk)
-                trees[fmt] = pet
+                trees[path] = pet
             assert (
                 trees["tuple"].format_tree(max_depth=12)
                 == trees["columnar"].format_tree(max_depth=12)
@@ -246,14 +375,16 @@ class TestSkippingAndPET:
 class TestCUWalk:
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_topdown_registry_identical(self, recorded, name):
-        pair = recorded[name]
+        trace, _ = recorded[name]
         workload = get_workload(name)
         module = workload.compile(1)
         registries = {}
-        for fmt, (trace, _) in pair.items():
+        for path, chunks in (
+            ("tuple", decoded_chunks(trace)), ("columnar", trace.chunks),
+        ):
             builder = TopDownBuilder(module)
-            builder.process_chunks(trace.iter_chunks())
-            registries[fmt] = (builder.build(), dict(builder.line_counts))
+            builder.process_chunks(chunks)
+            registries[path] = (builder.build(), dict(builder.line_counts))
         assert registries["tuple"][1] == registries["columnar"][1]
         assert (
             registries["tuple"][0].to_dict()
@@ -266,11 +397,11 @@ class TestSpillingTraceSink:
         workload = get_workload(TEXTBOOK)
         module = workload.compile(1)
         full = TraceSink()
-        vm = VM(module, full, chunk_format="columnar", chunk_size=256)
+        vm = VM(module, full, chunk_size=256)
         vm.run(workload.entry)
 
         spilling = SpillingTraceSink(8, spill_dir=str(tmp_path))
-        vm2 = VM(module, spilling, chunk_format="columnar", chunk_size=256)
+        vm2 = VM(module, spilling, chunk_size=256)
         vm2.run(workload.entry)
 
         assert spilling.resident_chunks <= 8
@@ -287,21 +418,27 @@ class TestSpillingTraceSink:
             f.startswith("segment-") for f in os.listdir(tmp_path)
         )
 
-    def test_accepts_tuple_chunks(self):
+    def test_rejects_tuple_chunks(self, tmp_path):
         _, trace, _ = run_source(
             "int main() { int s = 0; "
             "for (int i = 0; i < 50; i++) { s += i; } return s; }"
         )
+        decoded = decoded_chunks(trace)
         spilling = SpillingTraceSink(1)
-        for chunk in trace.chunks:
-            spilling(chunk)
-        assert list(spilling.events()) == list(trace.events())
+        for sink in (TraceSink(), spilling):
+            with pytest.raises(TypeError, match="EventChunk"):
+                sink(decoded[0])
+            assert sink.n_events == 0
+        resident = TraceSink()
+        resident.chunks.append(decoded[0])
+        with pytest.raises(TypeError, match="EventChunk"):
+            save_trace(resident, str(tmp_path / "trace.npz"))
         spilling.close()
 
     def test_save_and_load_roundtrip(self, tmp_path):
         workload = get_workload(TEXTBOOK)
         module = workload.compile(1)
-        trace, _ = record(module, workload.entry, "columnar")
+        trace, _ = record(module, workload.entry)
         path = tmp_path / "trace.npz"
         save_trace(trace, str(path))
         restored = load_trace(str(path))
@@ -311,13 +448,12 @@ class TestSpillingTraceSink:
         """compress=False spills raw mmap-loadable .npy segments."""
         workload = get_workload(TEXTBOOK)
         module = workload.compile(1)
-        full, _ = record(module, workload.entry, "columnar",
-                         chunk_size=256)
+        full, _ = record(module, workload.entry, chunk_size=256)
 
         spilling = SpillingTraceSink(
             4, spill_dir=str(tmp_path), compress=False
         )
-        vm = VM(module, spilling, chunk_format="columnar", chunk_size=256)
+        vm = VM(module, spilling, chunk_size=256)
         vm.run(workload.entry)
         assert spilling.n_spilled_chunks > 0
         paths = spilling.segment_paths
@@ -343,11 +479,11 @@ class TestSpillingTraceSink:
         module = workload.compile(1)
 
         resident = TraceSink()
-        vm = VM(module, resident, chunk_format="columnar", chunk_size=256)
+        vm = VM(module, resident, chunk_size=256)
         vm.run(workload.entry)
 
         spilling = SpillingTraceSink(4, spill_dir=str(tmp_path / "spill"))
-        vm2 = VM(module, spilling, chunk_format="columnar", chunk_size=256)
+        vm2 = VM(module, spilling, chunk_size=256)
         vm2.run(workload.entry)
         assert spilling.n_spilled_chunks > 1  # multi-segment on disk
 
@@ -390,24 +526,26 @@ class TestEngineIntegration:
             s.to_dict() for s in spilled.suggestions
         ]
 
-    def test_chunk_format_tuple_vs_columnar_results(self):
+    def test_loop_oracle_vs_vectorized_results(self):
         workload = get_workload(TEXTBOOK)
         results = {}
-        for fmt in ("tuple", "columnar"):
+        for detect in ("loop", "vectorized"):
             engine = DiscoveryEngine(
                 config=DiscoveryConfig(
                     source=workload.source(1), name=TEXTBOOK,
-                    chunk_format=fmt,
+                    detect=detect,
                 )
             )
-            results[fmt] = engine.run()
+            results[detect] = engine.run()
+            assert results[detect].profile_stats["detect"] == detect
+            assert "chunk_format" not in results[detect].profile_stats
         assert (
-            results["tuple"].store.to_dict()
-            == results["columnar"].store.to_dict()
+            results["loop"].store.to_dict()
+            == results["vectorized"].store.to_dict()
         )
         assert (
-            results["tuple"].registry.to_dict()
-            == results["columnar"].registry.to_dict()
+            results["loop"].registry.to_dict()
+            == results["vectorized"].registry.to_dict()
         )
 
     def test_engine_records_phase_timings(self):
@@ -436,7 +574,7 @@ class TestBackendRegistry:
     def run_backend(self, name, **options):
         workload, module = self.source_and_decoder()
         backend = make_backend(name, **options)
-        vm = VM(module, backend, chunk_format="columnar")
+        vm = VM(module, backend)
         backend.sig_decoder = vm.loop_signature
         vm.run(workload.entry)
         return backend.finish()
@@ -509,27 +647,38 @@ class TestCLIPipelineFlags:
         }
 
     def test_discover_spill_and_tuple_format(self, capsys):
-        from repro.cli import main
-
-        code = main([
-            "discover", "--workload", TEXTBOOK, "--chunk-format", "tuple",
-            "--spill-trace", "--max-resident-chunks", "8",
-            "--format", "json",
-        ])
-        assert code == 0
+        """A spilled trace drives the loop oracle, which walks the
+        decoded tuple view of the re-read segments."""
         import json
 
-        data = json.loads(capsys.readouterr().out)
-        assert data["profile_stats"]["chunk_format"] == "tuple"
-        assert "spilled_chunks" in data["profile_stats"]
+        from repro.cli import main
+
+        stores = {}
+        for detect in ("loop", "vectorized"):
+            code = main([
+                "discover", "--workload", TEXTBOOK, "--detect", detect,
+                "--spill-trace", "--max-resident-chunks", "8",
+                "--format", "json",
+            ])
+            assert code == 0
+            data = json.loads(capsys.readouterr().out)
+            stats = data["profile_stats"]
+            assert stats["detect"] == detect
+            assert stats["spilled_chunks"] > 0
+            assert "chunk_format" not in stats
+            stores[detect] = data["store"]
+        assert stores["loop"] == stores["vectorized"]
+        with pytest.raises(SystemExit):
+            main(["discover", "--workload", TEXTBOOK,
+                  "--chunk-format", "tuple"])
 
     def test_bench_smoke(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
         code = main([
-            "bench", "fib", "--reps", "1", "--format", "json",
-            "--save", "bench.json",
+            "bench", "--suite", "vm", "fib", "--reps", "1",
+            "--format", "json", "--save", "bench.json",
         ])
         assert code == 0
         import json
@@ -537,5 +686,9 @@ class TestCLIPipelineFlags:
         with open(tmp_path / "bench.json") as handle:
             saved = json.load(handle)
         assert saved["workloads"][0]["workload"] == "fib"
+        assert saved["all_traces_identical"]
         assert saved["all_stores_identical"]
-        assert saved["workloads"][0]["throughput_ratio"] > 0
+        # --suite is required, and "pipeline" is not a suite
+        for argv in (["bench", "fib"], ["bench", "--suite", "pipeline"]):
+            with pytest.raises(SystemExit):
+                main(argv)

@@ -30,13 +30,11 @@ from repro.simulate.exec_model import loop_iteration_costs, simulate_doall
 from repro.workloads import get_workload
 
 
-def _run(module, entry, dispatch, *, instrument=True, chunk_format="columnar",
-         **vm_kwargs):
+def _run(module, entry, dispatch, *, instrument=True, **vm_kwargs):
     trace = TraceSink()
     vm = VM(
         module,
         trace if instrument else None,
-        chunk_format=chunk_format,
         dispatch=dispatch,
         instrument=instrument,
         **vm_kwargs,
@@ -61,10 +59,11 @@ class TestGoldenTraceEquivalence:
 
     @pytest.mark.parametrize("name", GOLDEN_WORKLOADS)
     def test_four_way_equivalence(self, name):
+        """switch × compiled, each traced and untraced."""
         w = get_workload(name)
 
-        r_sw_tuple, t_sw_tuple, vm_sw_tuple = _run(
-            w.compile(1), w.entry, "switch", chunk_format="tuple"
+        r_sw_untraced, _, vm_sw_untraced = _run(
+            w.compile(1), w.entry, "switch", instrument=False
         )
         r_sw_col, t_sw_col, vm_sw_col = _run(
             w.compile(1), w.entry, "switch"
@@ -80,13 +79,19 @@ class TestGoldenTraceEquivalence:
         assert vm_sw_col.effective_dispatch == "switch"
 
         # return values and final state agree everywhere (untraced too)
-        assert r_sw_tuple == r_sw_col == r_c_traced == r_c_untraced
+        assert r_sw_untraced == r_sw_col == r_c_traced == r_c_untraced
         assert vm_sw_col.memory == vm_c_traced.memory
         assert vm_sw_col.memory == vm_c_untraced.memory
-        assert vm_sw_tuple.memory == vm_sw_col.memory
-        assert vm_sw_col.output == vm_c_traced.output == vm_c_untraced.output
+        assert vm_sw_untraced.memory == vm_sw_col.memory
         assert (
-            vm_sw_col.total_steps
+            vm_sw_untraced.output
+            == vm_sw_col.output
+            == vm_c_traced.output
+            == vm_c_untraced.output
+        )
+        assert (
+            vm_sw_untraced.total_steps
+            == vm_sw_col.total_steps
             == vm_c_traced.total_steps
             == vm_c_untraced.total_steps
         )
@@ -100,14 +105,10 @@ class TestGoldenTraceEquivalence:
             len(c) for c in t_c_traced.chunks
         ]
 
-        # the legacy tuple stream decodes to the same events
-        assert list(t_sw_tuple.events()) == list(t_c_traced.events())
-
-        # dependence stores built from all three traced runs are equal
-        store_tuple = _store_of(t_sw_tuple, vm_sw_tuple)
-        store_col = _store_of(t_sw_col, vm_sw_col)
-        store_compiled = _store_of(t_c_traced, vm_c_traced)
-        assert store_tuple == store_col == store_compiled
+        # dependence stores built from both traced runs are equal
+        assert _store_of(t_sw_col, vm_sw_col) == _store_of(
+            t_c_traced, vm_c_traced
+        )
 
     @pytest.mark.parametrize("quantum", [3, 17, 64])
     def test_threaded_small_quanta(self, quantum):
@@ -125,13 +126,28 @@ class TestGoldenTraceEquivalence:
         rows_c = np.concatenate([c.rows for c in t_c.chunks])
         assert np.array_equal(rows_s, rows_c)
 
-    def test_tuple_format_keeps_switch_core(self):
-        """The legacy tuple stream's encoder stays the switch loop."""
-        w = get_workload("pi")
-        _, _, vm = _run(
-            w.compile(1), w.entry, "compiled", chunk_format="tuple"
-        )
-        assert vm.effective_dispatch == "switch"
+    def test_convenience_entry_points_run_compiled(self):
+        """run_source / run_module / profile_source default to the
+        compiled core with packed chunks — instrumented runs included."""
+        from repro.profiler.serial import profile_source
+        from repro.runtime.events import EventChunk
+        from repro.runtime.interpreter import run_module, run_source
+
+        src = get_workload("pi").source(1)
+        _, trace, vm = run_source(src)
+        assert vm.effective_dispatch == "compiled"
+        assert trace.chunks
+        assert all(isinstance(c, EventChunk) for c in trace.chunks)
+
+        sink = TraceSink()
+        _, vm = run_module(compile_source(src), sink=sink)
+        assert vm.effective_dispatch == "compiled"
+        assert sink.n_events == trace.n_events
+
+        profiler, vm, _ = profile_source(src)
+        assert vm.effective_dispatch == "compiled"
+        assert profiler.stats.reads > 0
+        assert profiler.store.to_dict() == _store_of(trace, vm)
 
     def test_unknown_dispatch_rejected(self):
         module = compile_source("int main() { return 0; }")
@@ -200,7 +216,7 @@ class TestCompilePass:
             "int main() { int s = 0; for (int i = 0; i < 5; i++) "
             "{ s = s + i; } return s; }"
         )
-        vm = VM(module, TraceSink(), chunk_format="columnar")
+        vm = VM(module, TraceSink())
         func = module.functions["main"]
         compiled = compile_function(vm, func)
         n = len(func.code)
@@ -334,12 +350,10 @@ class TestExecModelAlignment:
         # mandelbrot rows are famously imbalanced
         assert max(costs) > 2 * min(costs)
 
-    def test_loop_iteration_costs_tuple_trace(self):
+    def test_loop_iteration_costs_switch_trace(self):
         w = get_workload("mandelbrot")
         module = w.compile(1)
-        _, trace, _ = _run(
-            module, w.entry, "switch", chunk_format="tuple"
-        )
+        _, trace, _ = _run(module, w.entry, "switch")
         loops = [r for r in module.regions.values() if r.kind == "loop"]
         outer = next(r for r in loops if r.start_line == 7)
         costs = loop_iteration_costs(trace, outer.region_id)
@@ -359,10 +373,8 @@ class TestExecModelAlignment:
           return a[7] + b[7];
         }"""
         module = compile_source(source)
-        for fmt, dispatch in (("columnar", "compiled"), ("tuple", "switch")):
-            _, trace, _ = _run(
-                module, "main", dispatch, chunk_format=fmt, quantum=8
-            )
+        for dispatch in ("compiled", "switch"):
+            _, trace, _ = _run(module, "main", dispatch, quantum=8)
             for region in module.regions.values():
                 if region.kind == "loop":
                     assert (
