@@ -5,9 +5,11 @@ trajectory (the artifact ``repro bench --suite detect`` also produces).
 Measures, per workload and detection core: detection throughput over a
 recorded trace (stores must stay bit-identical), end-to-end engine
 ``profile()`` wall time, and peak detection memory, plus the
-registry-wide equivalence sweep (threaded workloads included).  The
-multi-process sharded core rides along on every row with its exactness
-tripwire, and the accuracy-gated sampling mode reports measured
+registry-wide equivalence sweep of stores and detect artifacts
+(threaded workloads included) and the engine ``detect()`` phase per
+core, gated at >= 5x on facedetection.  The multi-process sharded core
+rides along on every row with its exactness tripwire, and the
+accuracy-gated sampling mode reports measured
 precision/recall against the exact store.  The gated trajectory numbers
 are the geomeans over the loop-nest trio (matmul, CG, mandelbrot); fft
 rides along ungated as the eviction- and frontier-churn-bound recursion
@@ -50,7 +52,12 @@ def test_detect_core_throughput(benchmark):
     # throughput geomean on the trio
     assert result["all_stores_identical"]
     assert result["equivalence_sweep"]["all_identical"]
+    assert result["equivalence_sweep"]["artifact_mismatches"] == []
     assert result["detect_speedup_geomean"] >= 3.0
+    # columnar call-site anchoring: the engine detect phase (loop
+    # classification + per-container task detection) on facedetection
+    assert result["detect_phase"]["gate"]["passed"], (
+        result["detect_phase"]["gate"])
     # end-to-end profile() also runs the (detection-independent) VM
     # recording, so its floor is lower
     assert result["profile_speedup_geomean"] >= 1.5

@@ -584,9 +584,20 @@ def _bench_detect(args) -> int:
     print(f"; saved detect bench -> {args.save}", file=sys.stderr)
     if not result["all_stores_identical"]:
         sweep = result.get("equivalence_sweep") or {}
-        bad = ", ".join(sweep.get("mismatches", [])) or "bench rows"
+        bad = ", ".join(
+            sweep.get("mismatches", []) + sweep.get("artifact_mismatches", [])
+        ) or "bench rows"
         print(
             f"; FAIL: loop and vectorized stores differ ({bad})",
+            file=sys.stderr,
+        )
+        return 1
+    gate = result["detect_phase"]["gate"]
+    if not gate["passed"]:
+        print(
+            f"; FAIL: {gate['workload']} detect phase "
+            f"{gate['measured']:.2f}x below required "
+            f"{gate['required']:.1f}x",
             file=sys.stderr,
         )
         return 1

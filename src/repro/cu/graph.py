@@ -55,9 +55,13 @@ class CUGraph:
         return self.cu(cu_id) if cu_id is not None else None
 
     def add_dependences(self, store: DependenceStore) -> None:
-        """Map line-level dependences onto CU edges (sink CU -> source CU)."""
+        """Map line-level dependences onto CU edges (sink CU -> source CU).
+
+        Dependences are added in the store's canonical order: edge
+        insertion order decides the condensation's node numbering, which
+        must not depend on the order a detector discovered them in."""
         graph = self.graph
-        for dep in store:
+        for dep in store.all():
             a = self._line2cu.get(dep.sink_line)
             b = self._line2cu.get(dep.source_line)
             if a is None or b is None:

@@ -13,31 +13,61 @@ in the container's function, otherwise the call-site line (within the
 container) of the call chain that led to the access.  Profiling the anchored
 stream with the ordinary serial profiler then yields a dependence store in
 container-line coordinates, ready for CU-graph task analysis.
+
+:func:`anchor_chunks` is the columnar twin over packed
+:class:`~repro.runtime.events.EventChunk` rows.  A thread's anchor is
+constant between two of its call events, and call events are rare, so it
+walks only the FENTRY/FEXIT rows in Python and forward-fills the
+resulting per-thread state onto the memory rows with ``np.searchsorted``.
+:func:`anchor_events` stays as the per-event oracle.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.mir.module import Module, Region
 from repro.runtime.events import (
+    COL_AUX,
+    COL_KIND,
+    COL_LINE,
+    COL_NAME,
+    COL_TID,
     EV_FENTRY,
     EV_FEXIT,
     EV_READ,
     EV_SPAWN,
     EV_WRITE,
+    K_FENTRY,
+    K_FEXIT,
+    K_WRITE,
+    EventChunk,
 )
+
+#: per-thread anchor states of :func:`anchor_chunks`; a state >= 0 is a
+#: constant anchor (the call line every access of the thread maps to)
+DROP = -2
+DIRECT = -1
 
 
 def anchor_events(
     events: Iterable[tuple], module: Module, container: Region
 ) -> Iterator[tuple]:
-    """Yield memory/region events with lines rewritten to container anchors.
+    """Yield the stream with memory-event lines rewritten to container anchors.
 
-    Events executing outside any dynamic instance of the container are
-    dropped.  Non-memory events inside the container pass through unchanged
-    (so loop-context classification still works for the container's own
-    loops).
+    The contract (shared with :func:`anchor_chunks`):
+
+    * a memory event is kept only when it executes under a dynamic
+      instance of the container and its anchor lies within the
+      container's lines; a kept event changes only its line, which
+      becomes the anchor;
+    * FENTRY/FEXIT events are consumed (they drive the per-thread call
+      stacks) and never yielded;
+    * every other event passes through unchanged, wherever it executes
+      (so loop-context classification still works for the container's
+      own loops).
     """
     # per-thread call stack: list of (func_name, call_line)
     call_stacks: dict[int, list[tuple[str, int]]] = {}
@@ -92,3 +122,111 @@ def anchor_events(
             yield ev
         else:
             yield ev
+
+
+class _ThreadStack:
+    """One thread's call lines plus the depth of its outermost frame of
+    the container's function (-1 when the thread is not under it)."""
+
+    __slots__ = ("calls", "first")
+
+    def __init__(self) -> None:
+        self.calls: list[int] = []
+        self.first = -1
+
+    def state(self, lo: int, hi: int) -> int:
+        """The anchor state :func:`anchor_events`' ``anchor_for`` implies."""
+        first = self.first
+        if first < 0:
+            return DROP
+        if first == len(self.calls) - 1:
+            return DIRECT
+        call_line = self.calls[first + 1]
+        return call_line if lo <= call_line <= hi else DROP
+
+
+def anchor_chunks(
+    chunks: Iterable[EventChunk], module: Module, container: Region
+) -> Iterator[EventChunk]:
+    """Columnar :func:`anchor_events`: same contract, packed chunks.
+
+    Only the FENTRY/FEXIT rows are walked one by one; each sets its
+    thread's state — :data:`DROP`, :data:`DIRECT` (keep the access when
+    its own line lies in the container) or a constant anchor line.  The
+    memory rows of a thread take the state of its last call row before
+    them (``np.searchsorted`` over row position).  Stacks and states
+    carry across chunks, so chunk boundaries have no effect on the
+    output rows.  Input rows are never written (spilled segments may be
+    read-only memory maps); every yielded chunk owns fresh rows and
+    shares the input's string table.  Empty results are not yielded.
+    """
+    container_func = container.func
+    lo, hi = container.start_line, container.end_line
+    stacks: dict[int, _ThreadStack] = {}
+
+    for chunk in chunks:
+        rows = chunk.rows
+        kinds = rows[:, COL_KIND]
+        is_call = (kinds == K_FENTRY) | (kinds == K_FEXIT)
+        call_idx = np.flatnonzero(is_call)
+
+        # -- the call-row walk: per thread, positions and the state each
+        #    call row leaves behind; states[0] is the state entering the
+        #    chunk
+        marks: dict[int, tuple[list, list]] = {}
+        if call_idx.shape[0]:
+            names = chunk.strings.values
+            calls = rows[call_idx][:, [COL_KIND, COL_NAME, COL_AUX, COL_TID]]
+            for pos, (kind, name, call_line, tid) in zip(
+                call_idx.tolist(), calls.tolist()
+            ):
+                stack = stacks.get(tid)
+                if stack is None:
+                    stack = stacks[tid] = _ThreadStack()
+                mark = marks.get(tid)
+                if mark is None:
+                    mark = marks[tid] = ([], [stack.state(lo, hi)])
+                if kind == K_FENTRY:
+                    if stack.first < 0 and names[name] == container_func:
+                        stack.first = len(stack.calls)
+                    stack.calls.append(call_line)
+                elif stack.calls:
+                    stack.calls.pop()
+                    if stack.first == len(stack.calls):
+                        stack.first = -1
+                mark[0].append(pos)
+                mark[1].append(stack.state(lo, hi))
+
+        # -- forward fill onto the memory rows -------------------------
+        keep = ~is_call
+        mem_idx = np.flatnonzero(kinds <= K_WRITE)
+        if mem_idx.shape[0]:
+            mem_tid = rows[mem_idx, COL_TID]
+            state = np.empty(mem_idx.shape[0], dtype=np.int64)
+            tids = np.unique(mem_tid).tolist()
+            for tid in tids:
+                sel = slice(None) if len(tids) == 1 else mem_tid == tid
+                mark = marks.get(tid)
+                if mark is None:
+                    stack = stacks.get(tid)
+                    state[sel] = DROP if stack is None else stack.state(lo, hi)
+                else:
+                    before = np.searchsorted(
+                        np.array(mark[0], dtype=np.int64), mem_idx[sel],
+                        side="right",
+                    )
+                    state[sel] = np.array(mark[1], dtype=np.int64)[before]
+            line = rows[mem_idx, COL_LINE]
+            keep_mem = (state >= 0) | (
+                (state == DIRECT) & (line >= lo) & (line <= hi)
+            )
+            keep[mem_idx] = keep_mem
+
+        out = rows[keep]
+        if out.shape[0] == 0:
+            continue
+        if mem_idx.shape[0]:
+            out[out[:, COL_KIND] <= K_WRITE, COL_LINE] = np.where(
+                state >= 0, state, line
+            )[keep_mem]
+        yield EventChunk(out, chunk.strings)

@@ -11,10 +11,12 @@ Five suites live here:
   over the decoded tuple view) vs. vectorized vs. multi-process sharded
   detection cores (:mod:`repro.profiler.sharded`):
   detection throughput over a recorded trace with per-run peak memory
-  (tracemalloc + detector accounting), a bit-identical-store
-  equivalence sweep across the whole workload registry (threaded
-  included), sampling-mode precision/recall, and end-to-end engine
-  ``profile()`` wall time per core (``BENCH_detect.json``).  The
+  (tracemalloc + detector accounting), a bit-identical equivalence
+  sweep of stores and detect artifacts across the whole workload
+  registry (threaded included), sampling-mode precision/recall,
+  end-to-end engine ``profile()`` wall time per core, and the engine
+  ``detect()`` phase per core with its facedetection speedup floor
+  (``BENCH_detect.json``).  The
   large-scale leg (:func:`run_detect_scale_bench`) drives the cores
   with a generated 10⁸-event synthetic stream and gates the out-of-core
   claim on recorded RSS, with the sharded speedup gate conditional on
@@ -334,21 +336,6 @@ def _detector(mode: str, vm, signature_slots=None, *, workers=2,
     return SerialProfiler(shadow, vm.loop_signature)
 
 
-def _detect_trace(trace, vm, mode: str, reps: int):
-    """Best-of-``reps`` detection wall time over a recorded trace."""
-    best = float("inf")
-    profiler = None
-    for _ in range(reps):
-        profiler = _detector(mode, vm)
-        t0 = time.perf_counter()
-        for chunk in trace.chunks:
-            profiler.process_chunk(chunk)
-        if mode == "vectorized":
-            profiler.flush()
-        best = min(best, time.perf_counter() - t0)
-    return profiler, best
-
-
 def _finish_detector(profiler) -> None:
     """Complete whatever 'all events seen' means for this detector."""
     finalize = getattr(profiler, "finalize", None)
@@ -539,40 +526,113 @@ def bench_detect_workload(
     return row
 
 
+def _engine_for(name: str, mode: str, scale: int, chunk_size: int):
+    """A discovery engine over one registry workload under ``mode``."""
+    from repro.engine.config import DiscoveryConfig
+    from repro.engine.core import DiscoveryEngine
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    return DiscoveryEngine(
+        workload.compile(scale),
+        config=DiscoveryConfig(
+            name=name, entry=workload.entry, detect=mode,
+            vm_kwargs={"chunk_size": chunk_size},
+        ),
+    )
+
+
 def detect_equivalence_sweep(
     *, scale: int = 1, chunk_size: int = 4096
 ) -> dict:
-    """Loop vs. vectorized store equality over the whole registry.
+    """Loop vs. vectorized equality over the whole registry.
 
-    Every workload — the threaded ones included — is recorded once and
-    profiled through both cores; the sweep passes only when every
-    :class:`DependenceStore` (and every control-record map) matches
-    bit for bit.
+    Every workload — the threaded ones included — runs through one
+    engine per detection mode.  ``mismatches`` lists the workloads whose
+    profile :class:`DependenceStore` or control-record map differ;
+    ``artifact_mismatches`` those whose whole
+    :class:`~repro.engine.artifacts.DetectArtifact` differs (loops, and
+    per task container the anchored store, CU graph, SPMD groups and
+    task graph).  The sweep passes only when both lists are empty.
     """
-    from repro.workloads import REGISTRY, get_workload
+    from repro.workloads import REGISTRY
 
     mismatches: list[str] = []
-    n_checked = 0
+    artifact_mismatches: list[str] = []
     for name in sorted(REGISTRY):
-        workload = get_workload(name)
-        module = workload.compile(scale)
-        trace = TraceSink()
-        vm = VM(module, trace, chunk_size=chunk_size)
-        vm.run(workload.entry)
         results = {}
         for mode in ("loop", "vectorized"):
-            profiler, _ = _detect_trace(trace, vm, mode, 1)
+            engine = _engine_for(name, mode, scale, chunk_size)
+            profile = engine.profile()
             results[mode] = (
-                profiler.store.to_dict(),
-                {r: c.to_dict() for r, c in profiler.control.items()},
+                profile.store.to_dict(),
+                {r: c.to_dict() for r, c in profile.control.items()},
+                engine.detect().to_dict(),
             )
-        n_checked += 1
-        if results["loop"] != results["vectorized"]:
+        loop, vec = results["loop"], results["vectorized"]
+        if loop[:2] != vec[:2]:
             mismatches.append(name)
+        if loop[2] != vec[2]:
+            artifact_mismatches.append(name)
     return {
-        "workloads_checked": n_checked,
+        "workloads_checked": len(REGISTRY),
         "mismatches": mismatches,
-        "all_identical": not mismatches,
+        "artifact_mismatches": artifact_mismatches,
+        "all_identical": not mismatches and not artifact_mismatches,
+    }
+
+
+#: the detect-phase leg: engine ``detect()`` (loop classification plus
+#: task detection's per-container anchoring) timed under both cores at
+#: the end-to-end scale.  facedetection, whose six task containers made
+#: the anchored replay the slowest phase of the pipeline, carries the
+#: gated floor.
+DETECT_PHASE_SCALE = 1
+DETECT_PHASE_GATE_WORKLOAD = "facedetection"
+DETECT_PHASE_MIN_SPEEDUP = 5.0
+
+
+def bench_detect_phase(
+    name: str, *, reps: int = 3, chunk_size: int = 4096
+) -> dict:
+    """Interleaved engine ``detect()`` wall time, loop vs. vectorized.
+
+    Profile and CU phases run once per engine, untimed; each round then
+    re-runs ``detect(force=True)`` under both cores with the collector
+    paused.  The speedup is the median of per-round ratios.
+    """
+    import gc
+    import statistics
+
+    engines = {
+        mode: _engine_for(name, mode, DETECT_PHASE_SCALE, chunk_size)
+        for mode in ("loop", "vectorized")
+    }
+    artifacts = {}
+    for mode, engine in engines.items():
+        engine.build_cus()
+        artifacts[mode] = engine.detect().to_dict()
+    samples: dict[str, list] = {"loop": [], "vectorized": []}
+    for _ in range(max(2, reps)):
+        for mode, engine in engines.items():
+            gc.collect()
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                engine.detect(force=True)
+                samples[mode].append(time.perf_counter() - t0)
+            finally:
+                gc.enable()
+    detect = artifacts["vectorized"]
+    return {
+        "workload": name,
+        "containers": len(detect["functions"]) + len(detect["loop_tasks"]),
+        "loop_seconds": statistics.median(samples["loop"]),
+        "vectorized_seconds": statistics.median(samples["vectorized"]),
+        "speedup": statistics.median(
+            lo / ve for lo, ve in zip(samples["loop"], samples["vectorized"])
+        ),
+        "identical": artifacts["loop"] == detect,
     }
 
 
@@ -596,7 +656,10 @@ def run_detect_bench(
     ``sharded_all_identical`` is its exactness tripwire and
     ``sampling_precision_min`` / ``sampling_recall_min`` the measured
     accuracy floor of the lossy mode (``sampling=None`` skips it).  The
-    registry-wide equivalence sweep rides along unless ``sweep=False``.
+    ``detect_phase`` leg times engine ``detect()`` per core on every
+    row's workload plus facedetection, whose speedup must reach
+    :data:`DETECT_PHASE_MIN_SPEEDUP`.  The registry-wide equivalence
+    sweep rides along unless ``sweep=False``.
     """
     if workloads:
         names = [(w, True) for w in workloads]
@@ -634,6 +697,29 @@ def run_detect_bench(
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "quick": quick,
     }
+    phase_names = [name for name, _ in names]
+    if DETECT_PHASE_GATE_WORKLOAD not in phase_names:
+        phase_names.append(DETECT_PHASE_GATE_WORKLOAD)
+    phase_rows = [
+        bench_detect_phase(name, reps=reps, chunk_size=chunk_size)
+        for name in phase_names
+    ]
+    gate_row = next(
+        r for r in phase_rows if r["workload"] == DETECT_PHASE_GATE_WORKLOAD
+    )
+    result["detect_phase"] = {
+        "scale": DETECT_PHASE_SCALE,
+        "workloads": phase_rows,
+        "gate": {
+            "workload": DETECT_PHASE_GATE_WORKLOAD,
+            "required": DETECT_PHASE_MIN_SPEEDUP,
+            "measured": gate_row["speedup"],
+            "passed": gate_row["speedup"] >= DETECT_PHASE_MIN_SPEEDUP,
+        },
+    }
+    result["all_stores_identical"] = result["all_stores_identical"] and all(
+        r["identical"] for r in phase_rows
+    )
     if sampling is not None:
         result["sampling_rate"] = sampling
         result["sampling_precision_min"] = min(
@@ -880,6 +966,25 @@ def format_detect_table(result: dict) -> str:
         )
     tail += f"; peak RSS {result['ru_maxrss_kb']} kB"
     lines.append(tail)
+    phase = result.get("detect_phase")
+    if phase:
+        lines.append(
+            f"{'detect()':13s} {'containers':>10s} {'loop s':>8s} "
+            f"{'vec s':>8s} {'speedup':>8s} {'identical':>9s}"
+        )
+        for row in phase["workloads"]:
+            lines.append(
+                f"{row['workload']:13s} {row['containers']:10d} "
+                f"{row['loop_seconds']:8.3f} "
+                f"{row['vectorized_seconds']:8.3f} "
+                f"{row['speedup']:7.2f}x {str(row['identical']):>9s}"
+            )
+        gate = phase["gate"]
+        lines.append(
+            f"detect-phase gate: {gate['workload']} "
+            f"{gate['measured']:.2f}x (required {gate['required']:.1f}x) "
+            f"{'ok' if gate['passed'] else 'FAIL'}"
+        )
     scale = result.get("scale")
     if scale:
         lines.append(format_detect_scale_table(scale))

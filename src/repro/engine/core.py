@@ -32,9 +32,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.cu.graph import build_cu_graph, container_cus
 from repro.cu.topdown import TopDownBuilder
-from repro.discovery.lifting import anchor_events
+from repro.discovery.lifting import anchor_chunks, anchor_events
 from repro.discovery.loops import analyze_loops
 from repro.discovery.ranking import (
     RankingScores,
@@ -66,7 +68,8 @@ from repro.profiler.backends import make_backend
 from repro.profiler.pet import PETBuilder
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow
-from repro.runtime.events import SpillingTraceSink, TraceSink
+from repro.profiler.vectorized import VectorizedProfiler
+from repro.runtime.events import COL_LINE, SpillingTraceSink, TraceSink
 from repro.runtime.interpreter import VM
 from repro.simulate.exec_model import collect_iteration_costs
 
@@ -74,6 +77,11 @@ from repro.simulate.exec_model import collect_iteration_costs
 MPMD_MIN_SPEEDUP = 1.2
 #: and represent at least this fraction of the program's work
 MPMD_MIN_COVERAGE = 0.01
+#: detection batch of the anchored container profilers.  The whole trace
+#: is resident while they run, so a batch's working set adds straight to
+#: peak memory; a quarter of the profile phase's batch is as fast here
+#: and stays under the peak the profile phase already set
+ANCHORED_BATCH_EVENTS = 16_384
 
 
 def compile_config_source(config: DiscoveryConfig) -> Module:
@@ -301,6 +309,10 @@ class DiscoveryEngine:
         # staging and sink processing included) under the core that ran
         self._record_timing(f"vm_{vm.effective_dispatch}", vm_wall)
         result = backend.finish()
+        # the artifact keeps the VM for its loop signatures; release the
+        # tee (and the detector state it reaches) and the VM's reference
+        # cycle now instead of at the next full collection
+        vm.release()
         stats = dict(result.stats)
         stats["dispatch"] = vm.effective_dispatch
         # source provenance: which frontend lowered the module and where
@@ -408,13 +420,14 @@ class DiscoveryEngine:
             module = self.module
             registry = cus.registry
 
-            loops = analyze_loops(
-                module,
-                profile.store,
-                registry,
-                profile.control,
-                cus.line_counts,
-            )
+            with self.obs.tracer.span("detect.loops", "detect"):
+                loops = analyze_loops(
+                    module,
+                    profile.store,
+                    registry,
+                    profile.control,
+                    cus.line_counts,
+                )
 
             functions: dict[str, FunctionTaskAnalysis] = {}
             for name, func in module.functions.items():
@@ -455,43 +468,87 @@ class DiscoveryEngine:
         profile = self.profile()
         cus = self.build_cus()
         module = self.module
+        tracer = self.obs.tracer
+        with tracer.span(
+            "detect.container", "detect", func=name, region_id=region.region_id
+        ) as span:
+            if self.config.detect == "loop":
+                store, anchored_counts, rows = self._anchored_replay(region)
+            else:
+                store, anchored_counts, rows = self._anchored_columnar(region)
+            # each call site becomes its own CU: calls are the task units
+            call_lines = frozenset(call_sites(module, region))
+            graph = build_cu_graph(
+                cus.registry,
+                store,
+                module,
+                region,
+                isolate_lines=call_lines,
+                line_counts=anchored_counts,
+            )
+            analysis = FunctionTaskAnalysis(
+                func=name,
+                region_id=region.region_id,
+                anchored_store=store,
+                cu_graph=graph,
+                spmd_groups=find_spmd_tasks(module, region, graph, store),
+                task_graph=find_mpmd_tasks(graph, region),
+            )
+            if tracer.enabled:
+                span.args.update(rows=rows, deps=len(store))
+        return analysis
+
+    def _anchored_replay(self, region):
+        """The per-event oracle: decoded view → anchor_events → serial."""
+        profile = self.profile()
         anchored_prof = SerialProfiler(
             PerfectShadow(), profile.vm.loop_signature
         )
         # anchored line counts attribute a call's entire dynamic subtree to
         # its call site — the work a task node really carries
         anchored_counts: dict[int, int] = {}
+        rows = 0
 
         def tally(events):
+            nonlocal rows
             for ev in events:
+                rows += 1
                 if ev[0] in ("R", "W"):
                     line = ev[2]
                     anchored_counts[line] = anchored_counts.get(line, 0) + 1
                 yield ev
 
         anchored_prof.process_chunk(
-            tally(anchor_events(profile.trace.events(), module, region))
+            tally(anchor_events(profile.trace.events(), self.module, region))
         )
-        # each call site becomes its own CU: calls are the task units
-        call_lines = frozenset(call_sites(module, region))
-        graph = build_cu_graph(
-            cus.registry,
-            anchored_prof.store,
-            module,
-            region,
-            isolate_lines=call_lines,
-            line_counts=anchored_counts,
+        return anchored_prof.store, anchored_counts, rows
+
+    def _anchored_columnar(self, region):
+        """The fast path: packed chunks → anchor_chunks → vectorized core,
+        streamed chunk by chunk (the trace is never concatenated)."""
+        profile = self.profile()
+        # only the anchored store is read: skip control-record tracking
+        anchored_prof = VectorizedProfiler(
+            None, profile.vm.loop_signature, track_control=False,
+            batch_events=ANCHORED_BATCH_EVENTS,
         )
-        return FunctionTaskAnalysis(
-            func=name,
-            region_id=region.region_id,
-            anchored_store=anchored_prof.store,
-            cu_graph=graph,
-            spmd_groups=find_spmd_tasks(
-                module, region, graph, anchored_prof.store
-            ),
-            task_graph=find_mpmd_tasks(graph, region),
-        )
+        # every anchored line lies inside the container region
+        counts = np.zeros(region.end_line + 1, dtype=np.int64)
+        rows = 0
+        for chunk in anchor_chunks(
+            profile.trace.iter_chunks(), self.module, region
+        ):
+            rows += len(chunk)
+            counts += np.bincount(
+                chunk.rows[chunk.memory_mask(), COL_LINE],
+                minlength=counts.shape[0],
+            )
+            anchored_prof.process_chunk(chunk)
+        anchored_counts = {
+            line: int(counts[line])
+            for line in np.flatnonzero(counts).tolist()
+        }
+        return anchored_prof.result(), anchored_counts, rows
 
     # ------------------------------------------------------------------
     # Phase 3: ranking

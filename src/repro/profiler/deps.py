@@ -102,6 +102,23 @@ class Dependence:
         )
 
 
+def _identity_order(d: "Dependence") -> tuple:
+    """Sort key over the full identity tuple.  Query results must not
+    depend on dict insertion order (the loop and vectorized detectors
+    discover merged dependences in different orders) or on None-vs-str
+    vars."""
+    return (
+        d.sink_line,
+        d.type,
+        d.source_line,
+        d.var is not None,
+        d.var or "",
+        d.loop_carried,
+        d.sink_tid,
+        d.source_tid,
+    )
+
+
 class DependenceStore:
     """Merged dependence set with per-sink aggregation (§2.3.5).
 
@@ -198,22 +215,7 @@ class DependenceStore:
         return iter(self._deps.values())
 
     def all(self) -> list[Dependence]:
-        # the full identity tuple: ordering must not depend on dict
-        # insertion order (the loop and vectorized detectors discover
-        # merged dependences in different orders) or on None-vs-str vars
-        return sorted(
-            self._deps.values(),
-            key=lambda d: (
-                d.sink_line,
-                d.type,
-                d.source_line,
-                d.var is not None,
-                d.var or "",
-                d.loop_carried,
-                d.sink_tid,
-                d.source_tid,
-            ),
-        )
+        return sorted(self._deps.values(), key=_identity_order)
 
     def by_sink(self) -> dict[int, list[Dependence]]:
         out: dict[int, list[Dependence]] = {}
@@ -237,7 +239,10 @@ class DependenceStore:
         ]
 
     def carried_by(self, loop_region_id: int) -> list[Dependence]:
-        return [d for d in self._deps.values() if loop_region_id in d.carriers]
+        return sorted(
+            (d for d in self._deps.values() if loop_region_id in d.carriers),
+            key=_identity_order,
+        )
 
     def involving_var(self, var: str) -> list[Dependence]:
         return [d for d in self.all() if d.var == var]

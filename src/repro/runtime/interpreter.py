@@ -240,6 +240,17 @@ class VM:
         """The core executing: ``"compiled"`` or ``"switch"``."""
         return self.dispatch
 
+    def release(self) -> None:
+        """Drop the sink and the compiled closure tables after a run.
+
+        Compiled closures capture the VM, so without this the VM, its
+        memory image and everything the sink reaches wait for the cyclic
+        collector.  A released VM still decodes loop signatures; running
+        it again recompiles lazily and, with no sink, records nothing.
+        """
+        self.sink = None
+        self._compiled_cache.clear()
+
     def _compiled_for(self, func):
         """The (lazily built) closure table of one function."""
         code = self._compiled_cache.get(func)

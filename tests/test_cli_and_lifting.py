@@ -1,14 +1,26 @@
 """Tests for the CLI entry points and call-site anchoring (lifting)."""
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.cli import main_discover, main_profile, main_report
-from repro.discovery.lifting import anchor_events
+from repro.discovery.lifting import anchor_chunks, anchor_events
+from repro.discovery.tasks import call_sites
+from repro.engine import DiscoveryConfig, DiscoveryEngine
 from repro.mir.lowering import compile_source
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow
-from repro.runtime.events import EV_READ, EV_WRITE, TraceSink
+from repro.runtime.events import (
+    EV_READ,
+    EV_WRITE,
+    EventChunk,
+    SpillingTraceSink,
+    TraceSink,
+)
 from repro.runtime.interpreter import VM
+from repro.workloads import get_workload
 
 PROGRAM = """int a[64];
 int total;
@@ -21,6 +33,17 @@ int main() {
   }
   return total;
 }
+"""
+
+
+RECURSIVE_SRC = """int counter;
+int down(int n) {
+  counter += 1;
+  if (n <= 0) { return 0; }
+  int a = down(n - 1);
+  return a + 1;
+}
+int main() { return down(5); }
 """
 
 
@@ -126,16 +149,7 @@ int main() {
         assert all(region.contains_line(ev[2]) for ev in mem)
 
     def test_recursive_container_collapses_to_top_instance(self):
-        src = """int counter;
-int down(int n) {
-  counter += 1;
-  if (n <= 0) { return 0; }
-  int a = down(n - 1);
-  return a + 1;
-}
-int main() { return down(5); }
-"""
-        module = compile_source(src)
+        module = compile_source(RECURSIVE_SRC)
         trace = TraceSink()
         vm = VM(module, trace)
         vm.run()
@@ -147,3 +161,128 @@ int main() { return down(5); }
         assert all(region.contains_line(l) for l in mem_lines)
         # the recursive subtree collapses onto the call line (5)
         assert 5 in mem_lines
+
+
+def _containers(module):
+    """Each function region and each loop body with a call site: the
+    task containers detection analyses, plus any never executed."""
+    regions = [
+        module.regions[f.region_id]
+        for f in module.functions.values()
+        if f.region_id in module.regions
+    ]
+    regions += [r for r in module.loops() if call_sites(module, r)]
+    return regions
+
+
+def _record(module, entry="main", sink=None):
+    trace = sink if sink is not None else TraceSink()
+    VM(module, trace).run(entry)
+    return trace
+
+
+def _rechunk(trace, size):
+    """The trace cut into ``size``-row chunks: call stacks now straddle
+    chunk boundaries."""
+    rows = np.concatenate([c.rows for c in trace.iter_chunks()])
+    strings = next(iter(trace.iter_chunks())).strings
+    return [
+        EventChunk(rows[i:i + size], strings)
+        for i in range(0, rows.shape[0], size)
+    ]
+
+
+def _assert_anchors_agree(trace, module, chunks=None):
+    for region in _containers(module):
+        expected = list(anchor_events(trace.events(), module, region))
+        got = [
+            ev
+            for chunk in anchor_chunks(
+                chunks if chunks is not None else trace.iter_chunks(),
+                module, region,
+            )
+            for ev in chunk.to_tuples()
+        ]
+        assert got == expected, (module.name, region.region_id)
+
+
+class TestAnchorChunks:
+    """The columnar anchoring against the per-event oracle."""
+
+    @pytest.mark.parametrize("src", [TestLifting.SRC, RECURSIVE_SRC])
+    def test_matches_oracle_on_small_programs(self, src):
+        module = compile_source(src)
+        _assert_anchors_agree(_record(module), module)
+
+    @pytest.mark.parametrize("name", ["fib", "md5-pthread", "facedetection"])
+    def test_matches_oracle_on_workloads(self, name):
+        """Recursion (fib), spawned threads (md5-pthread) and loop-body
+        containers (facedetection's frame loop)."""
+        workload = get_workload(name)
+        module = workload.compile(1)
+        _assert_anchors_agree(_record(module, workload.entry), module)
+
+    @pytest.mark.parametrize("size", [1, 7])
+    @pytest.mark.parametrize("src", [TestLifting.SRC, RECURSIVE_SRC])
+    def test_chunk_boundaries_do_not_matter(self, src, size):
+        module = compile_source(src)
+        trace = _record(module)
+        _assert_anchors_agree(trace, module, _rechunk(trace, size))
+
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_chunk_boundaries_do_not_matter_with_threads(self, size):
+        workload = get_workload("md5-pthread")
+        module = workload.compile(1)
+        trace = _record(module, workload.entry)
+        _assert_anchors_agree(trace, module, _rechunk(trace, size))
+
+    def test_read_only_spilled_rows_are_never_written(self, tmp_path):
+        workload = get_workload("fib")
+        module = workload.compile(1)
+        sink = SpillingTraceSink(
+            max_resident_chunks=1, spill_dir=str(tmp_path), compress=False
+        )
+        VM(module, sink, chunk_size=256).run(workload.entry)
+        assert sink.n_spilled_chunks >= 2
+        spilled = [c for c in sink.iter_chunks()][:-1]
+        assert not any(c.rows.flags.writeable for c in spilled)
+
+        def digests():
+            return [
+                hashlib.sha256(open(p, "rb").read()).hexdigest()
+                for p in sink.segment_paths
+            ]
+
+        before = digests()
+        _assert_anchors_agree(sink, module)
+        assert digests() == before
+        sink.close()
+
+
+class TestAnchoredDetection:
+    @pytest.mark.parametrize("name", ["fib", "md5-pthread", "blackscholes"])
+    def test_detect_artifact_matches_loop_oracle(self, name):
+        workload = get_workload(name)
+        artifacts = {
+            mode: DiscoveryEngine(
+                workload.compile(1),
+                config=DiscoveryConfig(
+                    name=name, entry=workload.entry, detect=mode
+                ),
+            ).detect().to_dict()
+            for mode in ("loop", "vectorized")
+        }
+        assert artifacts["loop"] == artifacts["vectorized"]
+
+    def test_sharded_mode_takes_the_columnar_path(self):
+        workload = get_workload("fib")
+        artifacts = {
+            mode: DiscoveryEngine(
+                workload.compile(1),
+                config=DiscoveryConfig(
+                    name="fib", detect=mode, detect_workers=2
+                ),
+            ).detect().to_dict()
+            for mode in ("loop", "sharded")
+        }
+        assert artifacts["loop"] == artifacts["sharded"]

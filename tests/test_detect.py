@@ -324,6 +324,16 @@ class TestBackendsAndConfig:
             stats["detect_seconds"]
         )
 
+    def test_detect_phase_bench_row(self):
+        from repro.engine.bench import bench_detect_phase
+
+        row = bench_detect_phase("fib", reps=2)
+        assert row["workload"] == "fib"
+        assert row["identical"]
+        assert row["containers"] >= 1
+        assert row["loop_seconds"] > 0
+        assert row["vectorized_seconds"] > 0
+
 
 class TestFrontierUnit:
     def test_scalar_queries_and_moves(self):

@@ -133,6 +133,25 @@ class TestPhaseCaching:
         second = engine.run()
         assert second.format_report() == first.format_report()
 
+    def test_finished_engine_is_freed_by_reference_counting(self):
+        """The profile VM's compiled closures capture it; releasing them
+        after the run lets the VM, its memory image and the trace go as
+        soon as the engine does, not at the next full collection."""
+        import gc
+        import weakref
+
+        engine = DiscoveryEngine.from_source(LOOPY)
+        engine.detect()
+        profile = engine.profile()
+        assert profile.vm.sink is None
+        refs = [weakref.ref(profile.vm), weakref.ref(profile.trace)]
+        gc.disable()
+        try:
+            del engine, profile
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
     def test_engine_matches_legacy_wrapper(self):
         legacy = discover_source(LOOPY)
         staged = DiscoveryEngine.from_source(LOOPY).run()

@@ -30,6 +30,7 @@ from repro.obs import (
 from repro.obs.trace import (
     NULL_SPAN,
     NULL_TRACER,
+    S_ARGS,
     S_DEPTH,
     S_DUR,
     S_PATH,
@@ -346,6 +347,26 @@ class TestEngineObs:
         assert restored.metrics == result.metrics
         assert restored.timing_detail == result.timing_detail
         assert json.loads(json.dumps(data))["metrics"] == result.metrics
+
+    def test_detect_spans_attribute_each_container(self):
+        engine = engine_for("fib", obs="trace")
+        detect = engine.detect()
+        spans = list(engine.obs.tracer.lane("main").spans)
+        paths = {s[S_PATH] for s in spans}
+        assert "phase.detect;detect.loops" in paths
+        containers = [s for s in spans if s[0] == "detect.container"]
+        analyses = {
+            a.region_id: a
+            for a in list(detect.functions.values())
+            + list(detect.loop_tasks.values())
+        }
+        assert len(containers) == len(analyses)
+        for span in containers:
+            args = span[S_ARGS]
+            analysis = analyses[args["region_id"]]
+            assert args["func"] == analysis.func
+            assert args["deps"] == len(analysis.anchored_store)
+            assert args["rows"] > 0
 
     def test_off_mode_records_nothing(self):
         engine = engine_for("fib")
