@@ -14,35 +14,16 @@ failing (docs/RESILIENCE.md).
 
 from __future__ import annotations
 
-import json
-
-from benchmarks.conftest import OUT_DIR, emit
-from repro.engine.bench import format_faults_table, run_faults_bench
+from benchmarks.conftest import run_gated_suite
+from repro.engine.bench import failed_gates
 
 
 def test_fault_recovery(benchmark):
     result = benchmark.pedantic(
-        run_faults_bench,
-        rounds=1,
-        iterations=1,
+        run_gated_suite, args=("faults",), rounds=1, iterations=1,
     )
-    emit("BENCH_faults", format_faults_table(result))
-    (OUT_DIR / "BENCH_faults.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    # recovery must be invisible in the output (bit-identical stores)
-    # and the last ladder rung must complete the run, not abandon it
-    assert result["all_recovered"]
-    assert result["all_stores_identical"]
-    assert result["degraded_runs"] == 1
+    assert result["passed"], failed_gates(result)
 
 
 if __name__ == "__main__":
-    result = run_faults_bench()
-    print(format_faults_table(result))
-    (OUT_DIR / "BENCH_faults.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    (OUT_DIR / "BENCH_faults.txt").write_text(
-        format_faults_table(result) + "\n"
-    )
+    run_gated_suite("faults")

@@ -13,35 +13,17 @@ instrumentation costs at most 2 % when nothing records.
 
 from __future__ import annotations
 
-import json
-
-from benchmarks.conftest import OUT_DIR, emit
-from repro.engine.bench import format_obs_table, run_obs_bench
+from benchmarks.conftest import run_gated_suite
+from repro.engine.bench import failed_gates
 
 
 def test_obs_overhead(benchmark):
     result = benchmark.pedantic(
-        run_obs_bench,
-        kwargs={"reps": 3},
-        rounds=1,
-        iterations=1,
+        run_gated_suite, args=("obs",), kwargs={"reps": 3},
+        rounds=1, iterations=1,
     )
-    emit("BENCH_obs", format_obs_table(result))
-    (OUT_DIR / "BENCH_obs.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    # the layer must be transparent (identical stores in every mode)
-    # and free when disabled (the CI-gated 2% bound)
-    assert result["all_stores_identical"]
-    assert result["disabled_overhead_pct_max"] <= 2.0
+    assert result["passed"], failed_gates(result)
 
 
 if __name__ == "__main__":
-    result = run_obs_bench()
-    print(format_obs_table(result))
-    (OUT_DIR / "BENCH_obs.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    (OUT_DIR / "BENCH_obs.txt").write_text(
-        format_obs_table(result) + "\n"
-    )
+    run_gated_suite("obs")

@@ -14,39 +14,16 @@ keys instead of double-computing (docs/RESILIENCE.md).
 
 from __future__ import annotations
 
-import json
-
-from benchmarks.conftest import OUT_DIR, emit
-from repro.engine.bench import format_store_table, run_store_bench
+from benchmarks.conftest import run_gated_suite
+from repro.engine.bench import failed_gates
 
 
 def test_store_torture(benchmark):
     result = benchmark.pedantic(
-        run_store_bench,
-        rounds=1,
-        iterations=1,
+        run_gated_suite, args=("store",), rounds=1, iterations=1,
     )
-    emit("BENCH_store", format_store_table(result))
-    (OUT_DIR / "BENCH_store.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    # damage must be invisible in the output (bit-identical stores,
-    # corruption healed, nothing torn) and concurrency must dedupe
-    assert result["all_stores_identical"]
-    assert result["all_rows_ok"] and result["all_exits_ok"]
-    assert result["healed_corruptions"] >= 2
-    assert result["torn_reads"] == 0
-    assert result["computed_once"]
-    assert result["lock_steals"] >= 1
-    assert result["min_concurrent_writers"] >= 2
+    assert result["passed"], failed_gates(result)
 
 
 if __name__ == "__main__":
-    result = run_store_bench()
-    print(format_store_table(result))
-    (OUT_DIR / "BENCH_store.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    (OUT_DIR / "BENCH_store.txt").write_text(
-        format_store_table(result) + "\n"
-    )
+    run_gated_suite("store")

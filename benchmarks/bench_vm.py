@@ -13,40 +13,17 @@ short-run regression.
 
 from __future__ import annotations
 
-import json
-
-from benchmarks.conftest import OUT_DIR, emit
-from repro.engine.bench import format_vm_table, run_vm_bench
+from benchmarks.conftest import run_gated_suite
+from repro.engine.bench import failed_gates
 
 
 def test_vm_dispatch_throughput(benchmark):
     result = benchmark.pedantic(
-        run_vm_bench,
-        kwargs={"reps": 3},
-        rounds=1,
-        iterations=1,
+        run_gated_suite, args=("vm",), kwargs={"reps": 3},
+        rounds=1, iterations=1,
     )
-    emit("BENCH_vm", format_vm_table(result))
-    (OUT_DIR / "BENCH_vm.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    # hard floors of the compiled-dispatch overhaul: the compiled core
-    # must reproduce the switch core's traces, states, and dependence
-    # stores exactly, and stay >= 2x ahead on instrumented recording
-    assert result["all_traces_identical"]
-    assert result["all_stores_identical"]
-    assert result["traced_speedup_geomean"] >= 2.0
-    # the engine's profile() phase also runs the (dispatch-independent)
-    # dependence profiler, so its end-to-end floor is lower
-    assert result["profile_speedup_geomean"] >= 1.25
+    assert result["passed"], failed_gates(result)
 
 
 if __name__ == "__main__":
-    result = run_vm_bench()
-    print(format_vm_table(result))
-    (OUT_DIR / "BENCH_vm.json").write_text(
-        json.dumps(result, indent=1) + "\n"
-    )
-    (OUT_DIR / "BENCH_vm.txt").write_text(
-        format_vm_table(result) + "\n"
-    )
+    run_gated_suite("vm")

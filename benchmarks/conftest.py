@@ -9,12 +9,14 @@ bonus).
 
 from __future__ import annotations
 
+import json
 import pathlib
 import time
 
 import pytest
 
 from repro.engine import DiscoveryConfig, DiscoveryEngine
+from repro.engine.bench import format_suite, run_suite
 from repro.mir.lowering import compile_source
 from repro.profiler.serial import SerialProfiler
 from repro.profiler.shadow import PerfectShadow, SignatureShadow
@@ -34,6 +36,18 @@ def emit(name: str, text: str) -> None:
     banner = f"\n===== {name} =====\n"
     print(banner + text)
     (OUT_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def run_gated_suite(suite: str, **options) -> dict:
+    """Run one ``repro bench`` suite; emit its table, write its JSON.
+
+    The result carries its own gate verdicts (``gates``, ``passed``).
+    """
+    result = run_suite(suite, **options)
+    name = f"BENCH_{suite}"
+    emit(name, format_suite(suite, result))
+    (OUT_DIR / f"{name}.json").write_text(json.dumps(result, indent=1) + "\n")
+    return result
 
 
 def engine_of(name: str, scale: int = 1) -> DiscoveryEngine:

@@ -10,7 +10,7 @@ classify the canonical shapes (all-to-all, neighbour/ring, master-worker).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

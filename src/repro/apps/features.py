@@ -9,8 +9,6 @@ model generalises to unseen loops without profiling them to completion).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.cu.graph import container_cus

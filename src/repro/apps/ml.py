@@ -10,7 +10,6 @@ reduction in an AdaBoost ensemble of trees".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

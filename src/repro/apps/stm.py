@@ -17,7 +17,6 @@ needs tuning for:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.discovery.loops import LoopInfo
 from repro.discovery.pipeline import DiscoveryResult

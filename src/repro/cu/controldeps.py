@@ -18,7 +18,7 @@ from typing import Optional
 
 from repro.mir.cfg import build_cfg, immediate_postdominator, postdominators
 from repro.mir.instructions import Opcode
-from repro.mir.module import Function, Module
+from repro.mir.module import Function
 
 
 def reconvergence_points(func: Function) -> dict[int, Optional[int]]:

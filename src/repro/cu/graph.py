@@ -17,14 +17,13 @@ exploit.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Iterable, Optional
+from typing import Optional
 
 import networkx as nx
 
 from repro.cu.model import CU, CURegistry
 from repro.mir.module import Module, Region
-from repro.profiler.deps import Dependence, DependenceStore, DepType
+from repro.profiler.deps import DependenceStore, DepType
 
 
 class CUGraph:

@@ -18,13 +18,12 @@ violating read instructions" step of Algorithm 3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from repro.cu.model import CU, CURegistry, RegionCUInfo
+from repro.cu.model import CURegistry, RegionCUInfo
 from repro.cu.variables import effective_global_vars, read_write_sets
-from repro.mir.instructions import Opcode
 from repro.mir.module import Module, Region
 from repro.runtime.events import (
     COL_ADDR,

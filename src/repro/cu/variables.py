@@ -19,8 +19,6 @@ a fixed point.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
 from repro.mir.module import Module, Region
 
 #: sentinel var_id for the virtual return-value variable (§3.2.5)

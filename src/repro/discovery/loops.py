@@ -30,7 +30,7 @@ from typing import Optional
 
 import networkx as nx
 
-from repro.cu.graph import CUGraph, build_cu_graph
+from repro.cu.graph import build_cu_graph
 from repro.cu.model import CURegistry
 from repro.mir.module import Module, Region
 from repro.profiler.deps import Dependence, DependenceStore, DepType

@@ -179,8 +179,9 @@ def run_job(
         else:
             if result.metrics:
                 # jobs run in pool processes: metrics ride the row home,
-                # and span lanes ship in Tracer transport form for the
-                # parent CLI to absorb onto one timeline
+                # and span lanes ship in Tracer transport form.  Nothing
+                # absorbs them yet: merging every job lane onto one
+                # timeline is the open `batch --obs` item (ROADMAP item 4)
                 row["metrics"] = result.metrics
             if engine.obs.tracer.enabled:
                 row["spans"] = engine.obs.tracer.ship()

@@ -1,62 +1,55 @@
 """Performance benchmarks: VM dispatch, detection, and the gated layers.
 
-Five suites live here:
+Every suite is one entry of the gate table :data:`SUITES`: its runner,
+its table formatter, the ``repro bench`` options the runner takes, and
+its gates.  A :class:`Gate` is data — a dotted result key that also
+names it, a comparison, a threshold, and whether it is enforced.
+:func:`run_suite` runs a suite and writes ``result["gates"]`` (each
+with ``name``, ``measured``, ``op``, ``required``, ``enforced``,
+``passed``) and ``result["passed"]`` into every ``BENCH_*.json``.
+Identity flags are always enforced.  Speed and accuracy floors are
+enforced when the suite ran its default workload set
+(``result["default_set"]``); on a workload list the caller chose they
+are recorded with ``enforced: False``.
+
+The suites (``BENCH_<suite>.json``):
 
 * **vm** (:func:`run_vm_bench`) — switch vs. compiled dispatch
-  (:mod:`repro.runtime.compile`): instrumented recording throughput with
-  bit-identical traces, untraced execution (the validate/scheduler
-  path), and end-to-end engine ``profile()`` wall time
-  (``BENCH_vm.json``).
-* **detect** (:func:`run_detect_bench`) — loop (the per-event oracle
-  over the decoded tuple view) vs. vectorized vs. multi-process sharded
-  detection cores (:mod:`repro.profiler.sharded`):
-  detection throughput over a recorded trace with per-run peak memory
-  (tracemalloc + detector accounting), a bit-identical equivalence
-  sweep of stores and detect artifacts across the whole workload
-  registry (threaded included), sampling-mode precision/recall,
-  end-to-end engine ``profile()`` wall time per core, and the engine
-  ``detect()`` phase per core with its facedetection speedup floor
-  (``BENCH_detect.json``).  The
-  large-scale leg (:func:`run_detect_scale_bench`) drives the cores
-  with a generated 10⁸-event synthetic stream and gates the out-of-core
-  claim on recorded RSS, with the sharded speedup gate conditional on
-  available CPUs.
-* **obs** (:func:`run_obs_bench`) — the observability layer
-  (:mod:`repro.obs`): engine ``profile()`` wall time with obs off /
-  metrics-only / full tracing, bit-identical dependence stores across
-  all three modes, and the CI-gated *disabled* overhead bound —
-  calibrated per-site guard cost times observed site activations, held
-  under 2 % of the obs-off wall time (``BENCH_obs.json``).
-* **faults** (:func:`run_faults_bench`) — the resilience layer
-  (:mod:`repro.resilience`, docs/RESILIENCE.md): deterministic fault
-  matrix (kill / hang / drop-ack / corrupt-payload at first, middle and
-  last batches, plus seeded scattered mixes) against the supervised
-  sharded detection core, gating that every eventually-successful
-  schedule recovers without raising and merges a store bit-identical to
-  the serial vectorized reference, and that an unrecoverable schedule
-  degrades to in-process detection — still bit-identical — instead of
-  failing (``BENCH_faults.json``).
-* **store** (:func:`run_store_bench`) — the crash-safe artifact store
-  (:mod:`repro.store`): concurrent batch runners on one shared resume
-  dir under kill-mid-write, torn-write, stale-lease and checksum-flip
-  schedules, gating that every schedule converges to a store
-  bit-identical to a clean single-writer reference, that corrupt
-  entries are healed (quarantined + recomputed, never served), that no
-  torn read or leftover tmp survives, and that concurrent writers
-  dedupe instead of double-computing (``BENCH_store.json``).
+  (:mod:`repro.runtime.compile`): traced recording, untraced execution
+  and engine ``profile()`` wall time, traces bit-identical.
+* **detect** (:func:`run_detect_bench`) — the loop oracle vs. the
+  vectorized and multi-process sharded detection cores
+  (:mod:`repro.profiler.sharded`): throughput and peak memory, the
+  registry-wide equivalence sweep, sampled precision/recall, engine
+  ``profile()`` and ``detect()`` phase per core, and optionally the
+  10⁸-event synthetic scale leg (:func:`run_detect_scale_bench`).
+* **obs** (:func:`run_obs_bench`) — :mod:`repro.obs` off / metrics /
+  trace: stores bit-identical in every mode, and the modelled cost of
+  the *disabled* instrumentation.
+* **faults** (:func:`run_faults_bench`) — the fault matrix against the
+  supervised sharded core (:mod:`repro.resilience`,
+  docs/RESILIENCE.md): recovery, store identity, and degradation.
+* **store** (:func:`run_store_bench`) — concurrent batch runners on one
+  :mod:`repro.store` directory under kill, torn-write, stale-lease and
+  checksum-flip schedules: convergence, healing, no torn reads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import gc
+import operator
 import resource
+import statistics
 import time
 import tracemalloc
 import warnings
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.profiler.serial import SerialProfiler
 from repro.resilience.faults import KILL_EXIT_CODE
-from repro.profiler.shadow import PerfectShadow, SignatureShadow
+from repro.profiler.shadow import PerfectShadow
 from repro.runtime.events import TraceSink
 from repro.runtime.interpreter import VM
 
@@ -67,6 +60,53 @@ def _geomean(values: list[float]) -> float:
     if not values:
         return 0.0
     return math.exp(sum(math.log(v) for v in values) / len(values))
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Collect, then keep the collector off for one timed sample."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _profile_modes(name: str, scale: int, reps: int, field: str, modes):
+    """Best-of-``reps`` engine ``profile()`` per value of one config field.
+
+    A fresh engine per run (``profile()`` caches per instance); modes
+    interleave per repetition so host-speed drift hits every side of a
+    ratio equally.  Returns the ``profile`` row (``<mode>_seconds`` and
+    whether every mode's store is identical) and, per mode, the profile
+    stats and the :class:`~repro.obs.Observability` of its fastest run.
+    """
+    from repro.engine.config import DiscoveryConfig
+    from repro.engine.core import DiscoveryEngine
+    from repro.workloads import get_workload
+
+    workload = get_workload(name)
+    best: dict = {}
+    for _ in range(reps):
+        for mode in modes:
+            engine = DiscoveryEngine(
+                config=DiscoveryConfig(
+                    source=workload.source(scale), name=name,
+                    entry=workload.entry, **{field: mode},
+                )
+            )
+            artifact = engine.profile()
+            seconds = engine.timings["profile"]
+            if mode not in best or seconds < best[mode][0]:
+                best[mode] = (
+                    seconds, artifact.stats, engine.obs,
+                    artifact.store.to_dict(),
+                )
+    stores = [store for *_, store in best.values()]
+    row = {f"{mode}_seconds": best[mode][0] for mode in modes}
+    row["stores_identical"] = all(s == stores[0] for s in stores)
+    return row, {mode: best[mode][1:3] for mode in modes}
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +121,6 @@ def _geomean(values: list[float]) -> float:
 #: gated trajectory number is their geomean.
 VM_BENCH_WORKLOADS = ("pi", "EP", "mandelbrot", "fft")
 
-#: extra rows reported alongside but not gated
-VM_BENCH_EXTRA = ()
-
 
 def _trace_rows(trace):
     import numpy as np
@@ -91,14 +128,7 @@ def _trace_rows(trace):
     return np.concatenate([chunk.rows for chunk in trace.chunks])
 
 
-def bench_vm_workload(
-    name: str,
-    *,
-    scale: int = 1,
-    reps: int = 3,
-    chunk_size: int = 4096,
-    gated: bool = True,
-) -> dict:
+def bench_vm_workload(name: str, *, scale: int = 1, reps: int = 3) -> dict:
     """Measure one workload under both dispatch cores."""
     import numpy as np
 
@@ -106,14 +136,12 @@ def bench_vm_workload(
 
     workload = get_workload(name)
     module = workload.compile(scale)
-    row: dict = {"workload": name, "scale": scale, "gated": gated}
+    row: dict = {"workload": name, "scale": scale}
 
     # -- instrumented recording (trace production) ---------------------
     # timed samples run with the collector paused (and a collect()
     # beforehand): the retained traces make every gen-0 pass scan a
     # large heap, which otherwise dominates short recordings
-    import gc
-
     traces = {}
     states = {}
     for dispatch in ("switch", "compiled"):
@@ -121,17 +149,11 @@ def bench_vm_workload(
         first = None
         for _ in range(reps):
             trace = TraceSink()
-            vm = VM(
-                module, trace, dispatch=dispatch, chunk_size=chunk_size
-            )
-            gc.collect()
-            gc.disable()
-            try:
+            vm = VM(module, trace, dispatch=dispatch)
+            with _gc_paused():
                 t0 = time.perf_counter()
                 vm.run(workload.entry)
                 wall = time.perf_counter() - t0
-            finally:
-                gc.enable()
             if first is None:
                 first = wall  # includes one-time closure compilation
             best = min(best, wall)
@@ -165,12 +187,10 @@ def bench_vm_workload(
     # timed sample is tens of milliseconds; the cores are then sampled
     # interleaved, so host frequency drift cannot bias the ratio the way
     # sequential per-core blocks would — short recursive workloads (fft)
-    # were otherwise pure scheduler noise
-    import statistics
-
-    # CPU time, not wall: the untraced legs are single-threaded and
-    # CPU bound, and on shared hosts wall-clock scheduler noise easily
-    # exceeds the few milliseconds a short recursion (fft) runs for
+    # were otherwise pure scheduler noise.  CPU time, not wall: the
+    # untraced legs are single-threaded and CPU bound, and on shared
+    # hosts wall-clock scheduler noise easily exceeds the few
+    # milliseconds a short recursion (fft) runs for
     inner = {}
     samples: dict[str, list] = {"switch": [], "compiled": []}
     for dispatch in ("switch", "compiled"):
@@ -185,17 +205,13 @@ def bench_vm_workload(
                 VM(module, None, dispatch=dispatch, instrument=False)
                 for _ in range(inner[dispatch])
             ]
-            gc.collect()
-            gc.disable()
-            try:
+            with _gc_paused():
                 t0 = time.process_time()
                 for vm in vms:
                     vm.run(workload.entry)
                 samples[dispatch].append(
                     (time.process_time() - t0) / inner[dispatch]
                 )
-            finally:
-                gc.enable()
     row["untraced"] = {
         "switch_seconds": statistics.median(samples["switch"]),
         "compiled_seconds": statistics.median(samples["compiled"]),
@@ -207,39 +223,15 @@ def bench_vm_workload(
     }
 
     # -- end-to-end engine profile() -----------------------------------
-    from repro.engine.config import DiscoveryConfig
-    from repro.engine.core import DiscoveryEngine
-
-    profile_row: dict = {}
-    stores = {}
-    best = {"switch": float("inf"), "compiled": float("inf")}
-    stats = {}
-    # dispatches interleave per repetition so host-speed drift hits
-    # both sides of the ratio equally
-    for _ in range(reps):
-        for dispatch in ("switch", "compiled"):
-            engine = DiscoveryEngine(
-                config=DiscoveryConfig(
-                    source=workload.source(scale), name=name,
-                    entry=workload.entry, dispatch=dispatch,
-                )
-            )
-            artifact = engine.profile()
-            best[dispatch] = min(best[dispatch], engine.timings["profile"])
-            stats[dispatch] = artifact.stats
-            stores[dispatch] = artifact.store.to_dict()
-    for dispatch in ("switch", "compiled"):
-        profile_row[f"{dispatch}_seconds"] = best[dispatch]
-        profile_row[f"{dispatch}_events_per_sec"] = stats[dispatch][
-            "vm_events_per_sec"
-        ]
+    profile_row, runs = _profile_modes(
+        name, scale, reps, "dispatch", ("switch", "compiled")
+    )
+    for dispatch, (stats, _) in runs.items():
+        profile_row[f"{dispatch}_events_per_sec"] = stats["vm_events_per_sec"]
     profile_row["speedup"] = (
         profile_row["switch_seconds"] / profile_row["compiled_seconds"]
         if profile_row["compiled_seconds"]
         else 0.0
-    )
-    profile_row["stores_identical"] = (
-        stores["switch"] == stores["compiled"]
     )
     row["profile"] = profile_row
     return row
@@ -251,37 +243,26 @@ def run_vm_bench(
     scale: int = 1,
     reps: int = 3,
     quick: bool = False,
-    chunk_size: int = 4096,
 ) -> dict:
-    """Benchmark the dispatch cores; geomeans computed over gated rows.
+    """Benchmark the dispatch cores; geomeans computed over every row.
 
     The headline numbers: ``traced_speedup_geomean`` (instrumented
     recording, compiled over switch, traces bit-identical) and
     ``profile_speedup_geomean`` (end-to-end engine profile phase).
     """
-    if workloads:
-        names = [(w, True) for w in workloads]
-    else:
-        names = [(w, True) for w in VM_BENCH_WORKLOADS] + [
-            (w, False) for w in VM_BENCH_EXTRA
-        ]
     if quick:
         reps = max(2, reps - 1)
     rows = [
-        bench_vm_workload(
-            name, scale=scale, reps=reps, chunk_size=chunk_size,
-            gated=gated,
-        )
-        for name, gated in names
+        bench_vm_workload(name, scale=scale, reps=reps)
+        for name in workloads or VM_BENCH_WORKLOADS
     ]
-    gated_rows = [r for r in rows if r["gated"]]
-    traced = [r["traced_speedup"] for r in gated_rows]
-    untraced = [r["untraced"]["speedup"] for r in gated_rows]
-    profile = [r["profile"]["speedup"] for r in gated_rows]
+    traced = [r["traced_speedup"] for r in rows]
+    untraced = [r["untraced"]["speedup"] for r in rows]
+    profile = [r["profile"]["speedup"] for r in rows]
     return {
         "bench": "vm",
         "workloads": rows,
-        "gated": [r["workload"] for r in gated_rows],
+        "default_set": not workloads,
         "traced_speedup_geomean": _geomean(traced),
         "traced_speedup_min": min(traced) if traced else 0.0,
         "untraced_speedup_geomean": _geomean(untraced),
@@ -315,53 +296,39 @@ DETECT_BENCH_EXTRA = ("fft",)
 #: mostly measure fixed costs
 DETECT_BENCH_SCALE = 2
 
+#: the lossy sharded mode's sampling rate, scored for precision/recall
+#: against the exact store on every bench row and on the scale leg
+DETECT_SAMPLING_RATE = 0.25
 
-def _detector(mode: str, vm, signature_slots=None, *, workers=2,
-              sampling=None):
+
+def _detector(mode: str, vm, *, workers=2, sampling=None):
     from repro.profiler.sharded import ShardedDetector
     from repro.profiler.vectorized import VectorizedProfiler
 
     if mode == "sharded":
         return ShardedDetector(
-            signature_slots, vm.loop_signature,
-            n_shards=workers, sampling=sampling,
+            None, vm.loop_signature, n_shards=workers, sampling=sampling,
         )
     if mode == "vectorized":
-        return VectorizedProfiler(signature_slots, vm.loop_signature)
-    shadow = (
-        PerfectShadow()
-        if signature_slots is None
-        else SignatureShadow(signature_slots)
-    )
-    return SerialProfiler(shadow, vm.loop_signature)
+        return VectorizedProfiler(None, vm.loop_signature)
+    return SerialProfiler(PerfectShadow(), vm.loop_signature)
 
 
-def _finish_detector(profiler) -> None:
-    """Complete whatever 'all events seen' means for this detector."""
-    finalize = getattr(profiler, "finalize", None)
-    if finalize is not None:
-        finalize()
-    else:
-        flush = getattr(profiler, "flush", None)
-        if flush is not None:
-            flush()
-
-
-def _measured_detect_pass(trace, vm, mode: str, **kwargs) -> dict:
+def _measured_detect_pass(trace, vm, mode: str) -> dict:
     """One untimed detection pass under tracemalloc.
 
     Peak-memory probes run separately from the timed loops on purpose:
     tracemalloc's allocation hooks distort throughput, so the timing
     samples stay clean and this pass pays the bookkeeping.  Returns the
     tracemalloc peak (python-level allocations of this process) and the
-    detector's own ``memory_bytes`` accounting (which, for the sharded
-    core, includes the merged worker-side totals).
+    detector's own ``memory_bytes`` accounting.
     """
-    profiler = _detector(mode, vm, **kwargs)
+    profiler = _detector(mode, vm)
     tracemalloc.start()
     for chunk in trace.chunks:
         profiler.process_chunk(chunk)
-    _finish_detector(profiler)
+    if mode == "vectorized":
+        profiler.flush()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return {
@@ -375,10 +342,8 @@ def bench_detect_workload(
     *,
     scale: int = DETECT_BENCH_SCALE,
     reps: int = 3,
-    chunk_size: int = 4096,
     gated: bool = True,
-    sharded_workers: int = 2,
-    sampling=None,
+    workers: int = 2,
 ) -> dict:
     """Measure one workload under the detection cores.
 
@@ -386,7 +351,8 @@ def bench_detect_workload(
     multi-process ``sharded`` core is measured alongside (store checked
     identical against vectorized, throughput reported not gated — on a
     single hot trace the fork/IPC overhead is the point of the
-    measurement).  ``sampling`` adds a lossy sharded run scored with
+    measurement), and so is a lossy sharded run at
+    :data:`DETECT_SAMPLING_RATE`, scored with
     :func:`repro.profiler.deps.store_accuracy` against the exact store.
     """
     from repro.workloads import get_workload
@@ -396,7 +362,7 @@ def bench_detect_workload(
     row: dict = {"workload": name, "scale": scale, "gated": gated}
 
     trace = TraceSink()
-    vm = VM(module, trace, chunk_size=chunk_size)
+    vm = VM(module, trace)
     vm.run(workload.entry)
     events = len(trace)
     row["events"] = events
@@ -406,26 +372,19 @@ def bench_detect_workload(
     # would otherwise bias whichever core ran second); the speedup is
     # the median of per-round ratios, so adjacent samples see the same
     # host state
-    import gc
-    import statistics
-
     stores = {}
     counts = {}
     samples: dict[str, list] = {"loop": [], "vectorized": []}
     for _ in range(max(3, reps)):
         for mode in ("loop", "vectorized"):
             profiler = _detector(mode, vm)
-            gc.collect()
-            gc.disable()
-            try:
+            with _gc_paused():
                 t0 = time.perf_counter()
                 for chunk in trace.chunks:
                     profiler.process_chunk(chunk)
                 if mode == "vectorized":
                     profiler.flush()
                 samples[mode].append(time.perf_counter() - t0)
-            finally:
-                gc.enable()
             stores[mode] = profiler.store.to_dict()
             counts[mode] = (
                 len(profiler.store), profiler.store.raw_occurrences,
@@ -451,7 +410,7 @@ def bench_detect_workload(
     # -- the multi-process sharded core --------------------------------
     from repro.profiler.deps import DependenceStore, store_accuracy
 
-    sharded = _detector("sharded", vm, workers=sharded_workers)
+    sharded = _detector("sharded", vm, workers=workers)
     gc.collect()
     t0 = time.perf_counter()
     for chunk in trace.chunks:
@@ -459,7 +418,7 @@ def bench_detect_workload(
     sharded.finalize()
     wall = time.perf_counter() - t0
     row["sharded"] = {
-        "workers": sharded_workers,
+        "workers": workers,
         "detect_seconds": wall,
         "events_per_sec": events / wall if wall else 0.0,
         "deps": len(sharded.store),
@@ -470,63 +429,42 @@ def bench_detect_workload(
         ),
     }
 
-    if sampling is not None:
-        exact_store = DependenceStore.from_dict(stores["vectorized"])
-        sampled = _detector(
-            "sharded", vm, workers=sharded_workers, sampling=sampling
-        )
-        t0 = time.perf_counter()
-        for chunk in trace.chunks:
-            sampled.process_chunk(chunk)
-        sampled.finalize()
-        wall = time.perf_counter() - t0
-        accuracy = store_accuracy(sampled.store, exact_store)
-        row["sampled"] = {
-            "workers": sharded_workers,
-            "rate": sampling,
-            "detect_seconds": wall,
-            "events_per_sec": events / wall if wall else 0.0,
-            "shipped_events": sampled.shipped_events,
-            **accuracy,
-        }
+    sampled = _detector(
+        "sharded", vm, workers=workers, sampling=DETECT_SAMPLING_RATE
+    )
+    t0 = time.perf_counter()
+    for chunk in trace.chunks:
+        sampled.process_chunk(chunk)
+    sampled.finalize()
+    wall = time.perf_counter() - t0
+    exact_store = DependenceStore.from_dict(stores["vectorized"])
+    row["sampled"] = {
+        "workers": workers,
+        "rate": DETECT_SAMPLING_RATE,
+        "detect_seconds": wall,
+        "events_per_sec": events / wall if wall else 0.0,
+        "shipped_events": sampled.shipped_events,
+        **store_accuracy(sampled.store, exact_store),
+    }
 
     # -- end-to-end engine profile() -----------------------------------
-    from repro.engine.config import DiscoveryConfig
-    from repro.engine.core import DiscoveryEngine
-
-    profile_row: dict = {}
-    profile_stores = {}
-    for mode in ("loop", "vectorized"):
-        best = float("inf")
-        stats = None
-        for _ in range(reps):
-            engine = DiscoveryEngine(
-                config=DiscoveryConfig(
-                    source=workload.source(scale), name=name,
-                    entry=workload.entry, detect=mode,
-                )
-            )
-            artifact = engine.profile()
-            best = min(best, engine.timings["profile"])
-            stats = artifact.stats
-        profile_stores[mode] = artifact.store.to_dict()
-        profile_row[f"{mode}_seconds"] = best
-        profile_row[f"{mode}_detect_events_per_sec"] = stats[
-            "detect_events_per_sec"
-        ]
+    profile_row, runs = _profile_modes(
+        name, scale, reps, "detect", ("loop", "vectorized")
+    )
+    for mode, (stats, _) in runs.items():
+        profile_row[f"{mode}_detect_events_per_sec"] = (
+            stats["detect_events_per_sec"]
+        )
     profile_row["speedup"] = (
         profile_row["loop_seconds"] / profile_row["vectorized_seconds"]
         if profile_row["vectorized_seconds"]
         else 0.0
     )
-    profile_row["stores_identical"] = (
-        profile_stores["loop"] == profile_stores["vectorized"]
-    )
     row["profile"] = profile_row
     return row
 
 
-def _engine_for(name: str, mode: str, scale: int, chunk_size: int):
+def _engine_for(name: str, mode: str, scale: int):
     """A discovery engine over one registry workload under ``mode``."""
     from repro.engine.config import DiscoveryConfig
     from repro.engine.core import DiscoveryEngine
@@ -535,16 +473,11 @@ def _engine_for(name: str, mode: str, scale: int, chunk_size: int):
     workload = get_workload(name)
     return DiscoveryEngine(
         workload.compile(scale),
-        config=DiscoveryConfig(
-            name=name, entry=workload.entry, detect=mode,
-            vm_kwargs={"chunk_size": chunk_size},
-        ),
+        config=DiscoveryConfig(name=name, entry=workload.entry, detect=mode),
     )
 
 
-def detect_equivalence_sweep(
-    *, scale: int = 1, chunk_size: int = 4096
-) -> dict:
+def detect_equivalence_sweep(*, scale: int = 1) -> dict:
     """Loop vs. vectorized equality over the whole registry.
 
     Every workload — the threaded ones included — runs through one
@@ -562,7 +495,7 @@ def detect_equivalence_sweep(
     for name in sorted(REGISTRY):
         results = {}
         for mode in ("loop", "vectorized"):
-            engine = _engine_for(name, mode, scale, chunk_size)
+            engine = _engine_for(name, mode, scale)
             profile = engine.profile()
             results[mode] = (
                 profile.store.to_dict(),
@@ -592,20 +525,15 @@ DETECT_PHASE_GATE_WORKLOAD = "facedetection"
 DETECT_PHASE_MIN_SPEEDUP = 5.0
 
 
-def bench_detect_phase(
-    name: str, *, reps: int = 3, chunk_size: int = 4096
-) -> dict:
+def bench_detect_phase(name: str, *, reps: int = 3) -> dict:
     """Interleaved engine ``detect()`` wall time, loop vs. vectorized.
 
     Profile and CU phases run once per engine, untimed; each round then
     re-runs ``detect(force=True)`` under both cores with the collector
     paused.  The speedup is the median of per-round ratios.
     """
-    import gc
-    import statistics
-
     engines = {
-        mode: _engine_for(name, mode, DETECT_PHASE_SCALE, chunk_size)
+        mode: _engine_for(name, mode, DETECT_PHASE_SCALE)
         for mode in ("loop", "vectorized")
     }
     artifacts = {}
@@ -615,14 +543,10 @@ def bench_detect_phase(
     samples: dict[str, list] = {"loop": [], "vectorized": []}
     for _ in range(max(2, reps)):
         for mode, engine in engines.items():
-            gc.collect()
-            gc.disable()
-            try:
+            with _gc_paused():
                 t0 = time.perf_counter()
                 engine.detect(force=True)
                 samples[mode].append(time.perf_counter() - t0)
-            finally:
-                gc.enable()
     detect = artifacts["vectorized"]
     return {
         "workload": name,
@@ -642,24 +566,22 @@ def run_detect_bench(
     scale: int = DETECT_BENCH_SCALE,
     reps: int = 3,
     quick: bool = False,
-    chunk_size: int = 4096,
-    sweep: bool = True,
-    sharded_workers: int = 2,
-    sampling: float = 0.25,
+    workers: int = 2,
+    scale_events: Optional[int] = None,
 ) -> dict:
     """Benchmark the detection cores; geomeans computed over gated rows.
 
     The headline numbers: ``detect_speedup_geomean`` (vectorized over
     loop detection throughput, stores bit-identical) and
     ``profile_speedup_geomean`` (end-to-end engine profile phase).  The
-    multi-process sharded core rides along on every row —
-    ``sharded_all_identical`` is its exactness tripwire and
+    multi-process sharded core (``workers`` processes) rides along on
+    every row — ``sharded_all_identical`` is its exactness tripwire and
     ``sampling_precision_min`` / ``sampling_recall_min`` the measured
-    accuracy floor of the lossy mode (``sampling=None`` skips it).  The
-    ``detect_phase`` leg times engine ``detect()`` per core on every
-    row's workload plus facedetection, whose speedup must reach
-    :data:`DETECT_PHASE_MIN_SPEEDUP`.  The registry-wide equivalence
-    sweep rides along unless ``sweep=False``.
+    accuracy of the lossy mode.  The ``detect_phase`` leg times engine
+    ``detect()`` per core on every row's workload plus facedetection,
+    and the registry-wide equivalence sweep always rides along.
+    ``scale_events`` adds the synthetic-stream scale leg under
+    ``result["scale"]``.
     """
     if workloads:
         names = [(w, True) for w in workloads]
@@ -671,8 +593,7 @@ def run_detect_bench(
         reps = max(2, reps - 1)
     rows = [
         bench_detect_workload(
-            name, scale=scale, reps=reps, chunk_size=chunk_size,
-            gated=gated, sharded_workers=sharded_workers, sampling=sampling,
+            name, scale=scale, reps=reps, gated=gated, workers=workers,
         )
         for name, gated in names
     ]
@@ -682,6 +603,7 @@ def run_detect_bench(
     result = {
         "bench": "detect",
         "workloads": rows,
+        "default_set": not workloads,
         "gated": [r["workload"] for r in gated_rows],
         "detect_speedup_geomean": _geomean(detect),
         "detect_speedup_min": min(detect) if detect else 0.0,
@@ -690,20 +612,22 @@ def run_detect_bench(
             r["stores_identical"] and r["profile"]["stores_identical"]
             for r in rows
         ),
-        "sharded_workers": sharded_workers,
+        "sharded_workers": workers,
         "sharded_all_identical": all(
             r["sharded"]["store_identical"] for r in rows
         ),
+        "sampling_rate": DETECT_SAMPLING_RATE,
+        "sampling_precision_min": min(
+            r["sampled"]["precision"] for r in rows
+        ),
+        "sampling_recall_min": min(r["sampled"]["recall"] for r in rows),
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
         "quick": quick,
     }
     phase_names = [name for name, _ in names]
     if DETECT_PHASE_GATE_WORKLOAD not in phase_names:
         phase_names.append(DETECT_PHASE_GATE_WORKLOAD)
-    phase_rows = [
-        bench_detect_phase(name, reps=reps, chunk_size=chunk_size)
-        for name in phase_names
-    ]
+    phase_rows = [bench_detect_phase(name, reps=reps) for name in phase_names]
     gate_row = next(
         r for r in phase_rows if r["workload"] == DETECT_PHASE_GATE_WORKLOAD
     )
@@ -717,24 +641,15 @@ def run_detect_bench(
             "passed": gate_row["speedup"] >= DETECT_PHASE_MIN_SPEEDUP,
         },
     }
-    result["all_stores_identical"] = result["all_stores_identical"] and all(
-        r["identical"] for r in phase_rows
+    result["equivalence_sweep"] = detect_equivalence_sweep()
+    result["all_stores_identical"] = (
+        result["all_stores_identical"]
+        and all(r["identical"] for r in phase_rows)
+        and result["equivalence_sweep"]["all_identical"]
     )
-    if sampling is not None:
-        result["sampling_rate"] = sampling
-        result["sampling_precision_min"] = min(
-            r["sampled"]["precision"] for r in rows
-        )
-        result["sampling_recall_min"] = min(
-            r["sampled"]["recall"] for r in rows
-        )
-    if sweep:
-        result["equivalence_sweep"] = detect_equivalence_sweep(
-            chunk_size=chunk_size
-        )
-        result["all_stores_identical"] = (
-            result["all_stores_identical"]
-            and result["equivalence_sweep"]["all_identical"]
+    if scale_events:
+        result["scale"] = run_detect_scale_bench(
+            n_events=scale_events, workers=max(workers, 2), quick=quick,
         )
     return result
 
@@ -766,7 +681,6 @@ def run_detect_scale_bench(
     *,
     n_events: int = DETECT_SCALE_EVENTS,
     workers: int = 4,
-    sampling: float = 0.25,
     quick: bool = False,
 ) -> dict:
     """Vectorized vs. sharded detection on a synthetic 10⁸-event stream.
@@ -774,18 +688,15 @@ def run_detect_scale_bench(
     The stream (:class:`repro.profiler.synth.SyntheticStream`) is
     generated chunk-at-a-time, so the input never resides in memory —
     peak RSS is detector state plus one chunk regardless of
-    ``n_events`` (the out-of-core claim, gated on the recorded RSS
-    deltas, not just throughput).  ``quick`` shrinks the stream to a
-    smoke size for CI.
+    ``n_events`` (the out-of-core claim; RSS deltas are recorded).
+    ``quick`` shrinks the stream to a smoke size for CI.
 
     The sharded speedup gate is **conditional on hardware**: the gate
     object records the required ratio, the measured ratio, the CPU
-    count, and whether the gate was enforced (``cpus >= workers``).
+    count, and whether the gate is enforced (``cpus >= workers``).
     Numbers are never synthesized — on a single-CPU host the measured
     ratio honestly shows the IPC overhead instead.
     """
-    import gc
-
     from repro.profiler.deps import store_accuracy
     from repro.profiler.sharded import ShardedDetector
     from repro.profiler.synth import SyntheticStream
@@ -864,25 +775,24 @@ def run_detect_scale_bench(
     }
 
     # -- sharded sampled -----------------------------------------------
-    if sampling is not None:
-        gc.collect()
-        sampled = ShardedDetector(
-            None, stream.sig_decoder, n_shards=workers, sampling=sampling
-        )
-        t0 = time.perf_counter()
-        for chunk in stream.iter_chunks():
-            sampled.process_chunk(chunk)
-        sampled.finalize()
-        wall = time.perf_counter() - t0
-        accuracy = store_accuracy(sampled.store, vec.store)
-        result["sampled"] = {
-            "rate": sampling,
-            "detect_seconds": wall,
-            "events_per_sec": stream.n_events / wall if wall else 0.0,
-            "shipped_events": sampled.shipped_events,
-            "speedup_vs_vectorized": vec_wall / wall if wall else 0.0,
-            **accuracy,
-        }
+    gc.collect()
+    sampled = ShardedDetector(
+        None, stream.sig_decoder, n_shards=workers,
+        sampling=DETECT_SAMPLING_RATE,
+    )
+    t0 = time.perf_counter()
+    for chunk in stream.iter_chunks():
+        sampled.process_chunk(chunk)
+    sampled.finalize()
+    wall = time.perf_counter() - t0
+    result["sampled"] = {
+        "rate": DETECT_SAMPLING_RATE,
+        "detect_seconds": wall,
+        "events_per_sec": stream.n_events / wall if wall else 0.0,
+        "shipped_events": sampled.shipped_events,
+        "speedup_vs_vectorized": vec_wall / wall if wall else 0.0,
+        **store_accuracy(sampled.store, vec.store),
+    }
     return result
 
 
@@ -893,9 +803,7 @@ def format_detect_scale_table(result: dict) -> str:
         f"{result['workers']} workers, {result['cpus']} cpu(s)"
     ]
     for mode in ("vectorized", "sharded", "sampled"):
-        row = result.get(mode)
-        if not row:
-            continue
+        row = result[mode]
         extra = ""
         if mode == "sharded":
             extra = f"  children RSS {row['children_maxrss_kb']} kB"
@@ -908,16 +816,9 @@ def format_detect_scale_table(result: dict) -> str:
             f"  {mode:10s} {row['detect_seconds']:8.2f}s "
             f"{row['events_per_sec']:12.0f} ev/s{extra}"
         )
-    gate = result["speedup_gate"]
-    verdict = (
-        "not enforced (cpus < workers)"
-        if not gate["enforced"]
-        else ("PASS" if gate["passed"] else "FAIL")
-    )
     lines.append(
-        f"  sharded speedup {result['sharded_speedup']:.2f}x "
-        f"(gate {gate['required']:.1f}x: {verdict}); store identical: "
-        f"{result['store_identical']}"
+        f"  sharded speedup {result['sharded_speedup']:.2f}x; "
+        f"store identical: {result['store_identical']}"
     )
     return "\n".join(lines)
 
@@ -942,48 +843,29 @@ def format_detect_table(result: dict) -> str:
             f"{str(row['stores_identical']):>9s} "
             f"{str(row['gated']):>5s}"
         )
-    tail = (
+    sweep = result["equivalence_sweep"]
+    lines.append(
         f"gated geomean: detect {result['detect_speedup_geomean']:.2f}x "
         f"(min {result['detect_speedup_min']:.2f}x), profile "
-        f"{result['profile_speedup_geomean']:.2f}x"
+        f"{result['profile_speedup_geomean']:.2f}x; "
+        f"sharded({result['sharded_workers']}w) identical: "
+        f"{result['sharded_all_identical']}; "
+        f"sampled@{result['sampling_rate']} precision≥"
+        f"{result['sampling_precision_min']:.3f} recall≥"
+        f"{result['sampling_recall_min']:.3f}; "
+        f"sweep {sweep['workloads_checked']} workloads identical: "
+        f"{sweep['all_identical']}; peak RSS {result['ru_maxrss_kb']} kB"
     )
-    if "sharded_all_identical" in result:
-        tail += (
-            f"; sharded({result['sharded_workers']}w) "
-            f"{'identical' if result['sharded_all_identical'] else 'MISMATCHED'}"
-        )
-    if "sampling_precision_min" in result:
-        tail += (
-            f"; sampled@{result['sampling_rate']} precision≥"
-            f"{result['sampling_precision_min']:.3f} recall≥"
-            f"{result['sampling_recall_min']:.3f}"
-        )
-    sweep = result.get("equivalence_sweep")
-    if sweep:
-        tail += (
-            f"; sweep {sweep['workloads_checked']} workloads "
-            f"{'identical' if sweep['all_identical'] else 'MISMATCHED'}"
-        )
-    tail += f"; peak RSS {result['ru_maxrss_kb']} kB"
-    lines.append(tail)
-    phase = result.get("detect_phase")
-    if phase:
+    lines.append(
+        f"{'detect()':13s} {'containers':>10s} {'loop s':>8s} "
+        f"{'vec s':>8s} {'speedup':>8s} {'identical':>9s}"
+    )
+    for row in result["detect_phase"]["workloads"]:
         lines.append(
-            f"{'detect()':13s} {'containers':>10s} {'loop s':>8s} "
-            f"{'vec s':>8s} {'speedup':>8s} {'identical':>9s}"
-        )
-        for row in phase["workloads"]:
-            lines.append(
-                f"{row['workload']:13s} {row['containers']:10d} "
-                f"{row['loop_seconds']:8.3f} "
-                f"{row['vectorized_seconds']:8.3f} "
-                f"{row['speedup']:7.2f}x {str(row['identical']):>9s}"
-            )
-        gate = phase["gate"]
-        lines.append(
-            f"detect-phase gate: {gate['workload']} "
-            f"{gate['measured']:.2f}x (required {gate['required']:.1f}x) "
-            f"{'ok' if gate['passed'] else 'FAIL'}"
+            f"{row['workload']:13s} {row['containers']:10d} "
+            f"{row['loop_seconds']:8.3f} "
+            f"{row['vectorized_seconds']:8.3f} "
+            f"{row['speedup']:7.2f}x {str(row['identical']):>9s}"
         )
     scale = result.get("scale")
     if scale:
@@ -996,7 +878,7 @@ def format_vm_table(result: dict) -> str:
     header = (
         f"{'workload':12s} {'events':>8s} {'switch eps':>11s} "
         f"{'compiled eps':>13s} {'traced':>7s} {'untraced':>9s} "
-        f"{'profile':>8s} {'identical':>9s} {'gated':>5s}"
+        f"{'profile':>8s} {'identical':>9s}"
     )
     lines = [header, "-" * len(header)]
     for row in result["workloads"]:
@@ -1007,11 +889,10 @@ def format_vm_table(result: dict) -> str:
             f"{row['traced_speedup']:6.2f}x "
             f"{row['untraced']['speedup']:8.2f}x "
             f"{row['profile']['speedup']:7.2f}x "
-            f"{str(row['trace_identical']):>9s} "
-            f"{str(row['gated']):>5s}"
+            f"{str(row['trace_identical']):>9s}"
         )
     lines.append(
-        f"gated geomean: traced {result['traced_speedup_geomean']:.2f}x "
+        f"geomean: traced {result['traced_speedup_geomean']:.2f}x "
         f"(min {result['traced_speedup_min']:.2f}x), untraced "
         f"{result['untraced_speedup_geomean']:.2f}x, profile "
         f"{result['profile_speedup_geomean']:.2f}x; peak RSS "
@@ -1064,44 +945,22 @@ def bench_obs_workload(
 ) -> dict:
     """One workload through the engine ``profile()`` phase per obs mode.
 
-    Fresh engine per repetition (``profile()`` caches per instance);
-    best-of-``reps`` wall per mode from ``engine.timings``.  The
-    dependence stores must stay bit-identical across all three modes —
-    observability must never perturb what the pipeline computes.
+    Best-of-``reps`` wall per mode.  The dependence stores must stay
+    bit-identical across all three modes — observability must never
+    perturb what the pipeline computes.
     """
-    from repro.engine.config import DiscoveryConfig
-    from repro.engine.core import DiscoveryEngine
-
-    from repro.workloads import get_workload
-
-    workload = get_workload(name)
-    row: dict = {"workload": name}
-    stores = {}
-    n_spans = 0
-    n_metrics = 0
-    for mode in ("off", "metrics", "trace"):
-        best = float("inf")
-        for _ in range(reps):
-            engine = DiscoveryEngine(
-                config=DiscoveryConfig(
-                    source=workload.source(scale), name=name,
-                    entry=workload.entry, obs=mode,
-                )
-            )
-            artifact = engine.profile()
-            best = min(best, engine.timings["profile"])
-        stores[mode] = artifact.store.to_dict()
-        row[f"{mode}_seconds"] = best
-        if mode == "trace":
-            n_spans = engine.obs.tracer.n_spans
-        if engine.obs.metrics is not None:
-            n_metrics = len(engine.obs.metrics.snapshot())
-    row["events"] = artifact.stats["trace_events"]
-    row["n_spans"] = n_spans
-    row["n_metrics"] = n_metrics
-    row["stores_identical"] = (
-        stores["off"] == stores["metrics"] == stores["trace"]
+    row, runs = _profile_modes(
+        name, scale, reps, "obs", ("off", "metrics", "trace")
     )
+    stats, obs = runs["trace"]
+    n_spans = obs.tracer.n_spans
+    row = {
+        "workload": name,
+        **row,
+        "events": stats["trace_events"],
+        "n_spans": n_spans,
+        "n_metrics": len(obs.metrics.snapshot()),
+    }
     off = row["off_seconds"]
     row["metrics_overhead_pct"] = (
         (row["metrics_seconds"] / off - 1.0) * 100.0 if off else 0.0
@@ -1125,20 +984,17 @@ def run_obs_bench(
     scale: int = 1,
     reps: int = 3,
     quick: bool = False,
-    chunk_size: int = 4096,
 ) -> dict:
     """Benchmark the observability layer (``BENCH_obs.json``).
 
-    Two claims are gated: the dependence stores are bit-identical with
+    Records whether the dependence stores are bit-identical with
     observability off, metrics-only, and full tracing
-    (``all_stores_identical``), and the *disabled* layer costs at most
-    2 % of profile wall time (``disabled_overhead_pct_max`` — modelled
-    as calibrated per-site guard cost times the activation count the
-    enabled run observed).  The enabled overheads are reported but not
-    gated; tracing is opt-in.
+    (``all_stores_identical``), and the cost of the *disabled* layer as
+    a percentage of profile wall time (``disabled_overhead_pct_max`` —
+    modelled as calibrated per-site guard cost times the activation
+    count the enabled run observed).  The enabled overheads are
+    reported but not gated; tracing is opt-in.
     """
-    del chunk_size  # engine profile() owns its chunking; kept for CLI parity
-    names = list(workloads) if workloads else list(OBS_BENCH_WORKLOADS)
     if quick:
         reps = max(2, reps - 1)
     site_cost = _disabled_site_cost_ns()
@@ -1146,11 +1002,12 @@ def run_obs_bench(
         bench_obs_workload(
             name, scale=scale, reps=reps, site_cost_ns=site_cost,
         )
-        for name in names
+        for name in workloads or OBS_BENCH_WORKLOADS
     ]
     return {
         "bench": "obs",
         "workloads": rows,
+        "default_set": not workloads,
         "disabled_site_cost_ns": site_cost,
         "disabled_overhead_pct_max": max(
             r["disabled_overhead_pct"] for r in rows
@@ -1187,8 +1044,7 @@ def format_obs_table(result: dict) -> str:
     lines.append(
         f"disabled site {result['disabled_site_cost_ns']:.0f} ns/call; "
         f"worst disabled overhead "
-        f"{result['disabled_overhead_pct_max']:.4f}% "
-        f"(gate 2%); stores "
+        f"{result['disabled_overhead_pct_max']:.4f}%; stores "
         f"{'identical' if result['all_stores_identical'] else 'MISMATCHED'}"
         f"; peak RSS {result['ru_maxrss_kb']} kB"
     )
@@ -1292,20 +1148,17 @@ def run_faults_bench(
     workers: int = 2,
     quick: bool = False,
     seed: int = 0,
-    chunk_size: int = 4096,
 ) -> dict:
     """Benchmark the fault-recovery layer (``BENCH_faults.json``).
 
-    Gates three claims: every eventually-successful worker fault
-    schedule — each kind at the first, middle and last task batch, plus
-    seeded :meth:`~repro.resilience.FaultPlan.scattered` mixes —
-    completes without raising (``all_recovered``) with a merged store
+    Runs each worker fault kind at the first, middle and last task
+    batch, seeded :meth:`~repro.resilience.FaultPlan.scattered` mixes,
+    and one schedule that exhausts every retry budget and must degrade
+    to in-process detection.  Records whether every case completed
+    without raising (``all_recovered``), whether every merged store is
     bit-identical to the serial vectorized reference
-    (``all_stores_identical``); and a schedule that exhausts every
-    retry budget degrades to in-process detection rather than failing,
-    still bit-identical (``degraded_runs`` == expected, degraded case
-    included in the identity gate).  ``quick`` trims the matrix to one
-    position per kind for the CI smoke lane.
+    (``all_stores_identical``) and how many runs degraded.  ``quick``
+    trims the matrix to one position per kind for the CI smoke lane.
     """
     from repro.resilience import FaultEvent, FaultPlan
     from repro.workloads import get_workload
@@ -1313,7 +1166,7 @@ def run_faults_bench(
     workload = get_workload(FAULTS_BENCH_WORKLOAD)
     module = workload.compile(scale)
     trace = TraceSink()
-    vm = VM(module, trace, chunk_size=chunk_size)
+    vm = VM(module, trace)
     vm.run(workload.entry)
     reference = _faults_reference(trace, vm)
 
@@ -1407,11 +1260,7 @@ def format_faults_table(result: dict) -> str:
         )
     lines.append(
         f"{len(result['cases'])} cases over {result['events']} events "
-        f"({result['n_batches']} batches, {result['workers']} workers); "
-        f"recovered {'all' if result['all_recovered'] else 'NOT ALL'}; "
-        f"stores "
-        f"{'identical' if result['all_stores_identical'] else 'MISMATCHED'}"
-        f"; degraded runs {result['degraded_runs']}"
+        f"({result['n_batches']} batches, {result['workers']} workers)"
     )
     return "\n".join(lines)
 
@@ -1647,7 +1496,7 @@ def _store_case_summary(
     }
 
 
-def run_store_bench(*, quick: bool = False, seed: int = 0) -> dict:
+def run_store_bench(*, seed: int = 0) -> dict:
     """Torture the artifact store under concurrent writers + faults.
 
     Five schedules, each ending with ≥2 concurrent batch runners on one
@@ -1667,13 +1516,10 @@ def run_store_bench(*, quick: bool = False, seed: int = 0) -> dict:
       on disk (and the finished row removed): verified restore heals the
       poisoned artifact and recomputes from the surviving prefix.
 
-    Gates: every schedule's final store is bit-identical (canonicalized
-    content) to a clean single-writer reference, all rows ok, zero torn
-    reads/leftover tmps, ≥2 total healed corruptions, ≥1 lease steal,
-    and clean-schedule keys computed exactly once.  ``quick`` is
-    accepted for CLI symmetry; the matrix is already the minimal one.
+    Each schedule's final store is compared (canonicalized content)
+    with a clean single-writer reference.  The matrix is already
+    minimal, so there is no quick mode.
     """
-    import json as _json
     import shutil
     import tempfile
 
@@ -1829,7 +1675,6 @@ def run_store_bench(*, quick: bool = False, seed: int = 0) -> dict:
             c.get("computed_once", True) for c in cases
         ),
         "ru_maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-        "quick": quick,
         "seed": seed,
     }
 
@@ -1853,12 +1698,160 @@ def format_store_table(result: dict) -> str:
         )
     lines.append(
         f"{len(result['cases'])} schedules over "
-        f"{'+'.join(result['workloads'])}; stores "
-        f"{'identical' if result['all_stores_identical'] else 'MISMATCHED'}; "
-        f"healed {result['healed_corruptions']} corruptions; "
-        f"{result['torn_reads']} torn reads; "
+        f"{'+'.join(result['workloads'])}; "
         f"{result['deduped_total']} deduped jobs, "
-        f"{result['lock_waits']} lock waits, "
-        f"{result['lock_steals']} steals"
+        f"{result['lock_waits']} lock waits"
     )
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# the gate table
+# ---------------------------------------------------------------------------
+
+
+class Gate(NamedTuple):
+    """One pass/fail check on a suite result: ``result[key] <op> required``.
+
+    ``key`` is a dotted path into the result and names the gate.
+    ``enforced`` is True or the dotted path of the result value that
+    decides it; an unenforced gate is recorded with ``passed: None`` and
+    cannot fail the run.
+    """
+
+    key: str
+    op: str = "=="
+    required: object = True
+    enforced: object = True
+
+
+class Suite(NamedTuple):
+    """A ``repro bench`` suite: runner, table, accepted options, gates."""
+
+    run: Callable[..., dict]
+    format: Callable[[dict], str]
+    options: tuple
+    gates: tuple
+
+
+#: speed and accuracy floors hold on the suite's own workload set only
+DEFAULT_SET = "default_set"
+
+#: the options of every suite that times registry workloads
+_MEASURED = ("workloads", "scale", "reps", "quick")
+
+SUITES = {
+    "vm": Suite(run_vm_bench, format_vm_table, _MEASURED, (
+        Gate("all_traces_identical"),
+        Gate("all_stores_identical"),
+        Gate("traced_speedup_geomean", ">=", 2.0, DEFAULT_SET),
+        Gate("profile_speedup_geomean", ">=", 1.25, DEFAULT_SET),
+    )),
+    "detect": Suite(
+        run_detect_bench, format_detect_table,
+        _MEASURED + ("workers", "scale_events"), (
+            Gate("all_stores_identical"),
+            Gate("equivalence_sweep.all_identical"),
+            Gate("sharded_all_identical"),
+            Gate("detect_speedup_geomean", ">=", 3.0, DEFAULT_SET),
+            Gate("profile_speedup_geomean", ">=", 1.5, DEFAULT_SET),
+            Gate("detect_phase.gate.measured", ">=",
+                 DETECT_PHASE_MIN_SPEEDUP),
+            Gate("sampling_precision_min", ">=", 0.95, DEFAULT_SET),
+            Gate("sampling_recall_min", ">=", 0.95, DEFAULT_SET),
+            # the synthetic-stream scale leg, whenever it ran
+            Gate("scale.store_identical", enforced="scale"),
+            Gate("scale.sharded_speedup", ">=", DETECT_SCALE_SPEEDUP,
+                 "scale.speedup_gate.enforced"),
+            Gate("scale.sampled.precision", ">=", 0.95, "scale"),
+            Gate("scale.sampled.recall", ">=", 0.95, "scale"),
+        ),
+    ),
+    "obs": Suite(run_obs_bench, format_obs_table, _MEASURED, (
+        Gate("all_stores_identical"),
+        Gate("disabled_overhead_pct_max", "<=", 2.0, DEFAULT_SET),
+    )),
+    "faults": Suite(
+        run_faults_bench, format_faults_table,
+        ("scale", "workers", "quick", "seed"), (
+            Gate("all_recovered"),
+            Gate("all_stores_identical"),
+            Gate("degraded_runs", "==", 1),
+        ),
+    ),
+    "store": Suite(run_store_bench, format_store_table, ("seed",), (
+        Gate("reference_ok"),
+        Gate("all_stores_identical"),
+        Gate("all_rows_ok"),
+        Gate("all_exits_ok"),
+        Gate("computed_once"),
+        Gate("torn_reads", "==", 0),
+        Gate("healed_corruptions", ">=", 2),
+        Gate("lock_steals", ">=", 1),
+        Gate("min_concurrent_writers", ">=", 2),
+    )),
+}
+
+_OPS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}
+
+
+def _lookup(result: dict, key: str):
+    try:
+        return functools.reduce(operator.getitem, key.split("."), result)
+    except (KeyError, TypeError):
+        return None
+
+
+def evaluate_gates(gates, result: dict) -> list:
+    """One verdict record per gate; an enforced gate on a missing key fails."""
+    records = []
+    for gate in gates:
+        measured = _lookup(result, gate.key)
+        enforced = gate.enforced is True or bool(
+            _lookup(result, gate.enforced)
+        )
+        passed = None
+        if enforced:
+            passed = measured is not None and bool(
+                _OPS[gate.op](measured, gate.required)
+            )
+        records.append({
+            "name": gate.key, "measured": measured, "op": gate.op,
+            "required": gate.required, "enforced": enforced,
+            "passed": passed,
+        })
+    return records
+
+
+def failed_gates(result: dict) -> list:
+    """The enforced gates of an evaluated result that did not pass."""
+    return [g for g in result["gates"] if g["passed"] is False]
+
+
+def run_suite(name: str, **options) -> dict:
+    """Run one suite and write its gate verdicts into the result."""
+    suite = SUITES[name]
+    result = suite.run(**options)
+    result["gates"] = evaluate_gates(suite.gates, result)
+    result["passed"] = not failed_gates(result)
+    return result
+
+
+def describe_gate(gate: dict) -> str:
+    """``name: measured op required`` for one verdict record."""
+    measured = gate["measured"]
+    if isinstance(measured, float):
+        measured = f"{measured:.3f}"
+    return f"{gate['name']}: {measured} {gate['op']} {gate['required']}"
+
+
+def format_suite(name: str, result: dict) -> str:
+    """The suite's table followed by one verdict line per gate."""
+    verdicts = {True: "ok", False: "FAIL", None: "not enforced"}
+    return "\n".join(
+        [SUITES[name].format(result)]
+        + [
+            f"gate {describe_gate(g)} {verdicts[g['passed']]}"
+            for g in result["gates"]
+        ]
+    )

@@ -32,7 +32,6 @@ import ast
 import inspect
 import textwrap
 import types
-from typing import Optional
 
 from repro.frontend.errors import FrontendError
 from repro.frontend.lowering import DriverSpec, MirBuilder

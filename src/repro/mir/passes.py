@@ -11,7 +11,7 @@ ordering).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.mir.instructions import Opcode
 from repro.mir.module import Module, Region

@@ -20,7 +20,7 @@ the paper's model.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.runtime.events import (
     EV_LOCK,

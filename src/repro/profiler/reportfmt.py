@@ -16,7 +16,7 @@ translation unit per run).
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.profiler.deps import Dependence, DependenceStore
 from repro.profiler.serial import ControlRecord

@@ -21,7 +21,7 @@ differ — that loop is recorded as the dependence's *carrier*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from repro.profiler.deps import DependenceStore, DepType

@@ -26,8 +26,8 @@ of skipped instructions by the dependence type they would have created).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.profiler.serial import SerialProfiler
 from repro.runtime.events import EV_FREE, EV_READ, EV_WRITE, EventChunk

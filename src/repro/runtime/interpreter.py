@@ -33,7 +33,7 @@ import random as _random
 from collections import deque
 from typing import Callable, Optional
 
-from repro.mir.instructions import BINOPS, UNOPS, Opcode
+from repro.mir.instructions import BINOPS, UNOPS
 from repro.mir.lowering import compile_source
 from repro.mir.module import Function, Module
 from repro.runtime.events import (

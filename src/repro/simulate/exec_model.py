@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 

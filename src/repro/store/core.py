@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import time
 from typing import Callable, Optional
 
 from repro.store import manifest as mf

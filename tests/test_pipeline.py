@@ -688,6 +688,14 @@ class TestCLIPipelineFlags:
         assert saved["workloads"][0]["workload"] == "fib"
         assert saved["all_traces_identical"]
         assert saved["all_stores_identical"]
+        # a custom workload list records the speed floors, unenforced
+        assert saved["passed"] and not saved["default_set"]
+        gates = {g["name"]: g for g in saved["gates"]}
+        assert gates["all_traces_identical"]["passed"] is True
+        for name in ("traced_speedup_geomean", "profile_speedup_geomean"):
+            assert gates[name]["enforced"] is False
+            assert gates[name]["passed"] is None
+            assert gates[name]["measured"] > 0
         # --suite is required, and "pipeline" is not a suite
         for argv in (["bench", "fib"], ["bench", "--suite", "pipeline"]):
             with pytest.raises(SystemExit):
