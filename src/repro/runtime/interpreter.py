@@ -183,7 +183,10 @@ class VM:
         self._lock_owner: dict[int, int] = {}
         self._lock_waiters: dict[int, deque[int]] = {}
 
-        # loop-signature interning (see events.py docstring)
+        # loop-signature interning (the ``loop_sig`` column, see the
+        # events.py docstring) runs only when instrumented: an untraced
+        # VM keeps its loop and region stacks but never interns, so its
+        # table stays ``[()]`` and every thread's sig_id stays 0
         self._sig_table: dict[tuple, int] = {(): 0}
         self._sig_list: list[tuple] = [()]
 
@@ -451,7 +454,8 @@ class VM:
             if thread.loop_stack and thread.loop_stack[-1][0] == region_id:
                 iters = thread.loop_stack[-1][1]
                 thread.loop_stack.pop()
-                self._intern_sig(thread)
+                if self.instrument:
+                    self._intern_sig(thread)
         if self.instrument:
             self._emit(
                 (K_END, region_id, self._region_end[region_id],
@@ -650,7 +654,8 @@ class VM:
                     )
                     if kind == "loop":
                         thread.loop_stack.append([region_id, 0])
-                        self._intern_sig(thread)
+                        if instrument:
+                            self._intern_sig(thread)
                     if instrument:
                         self._emit(
                             (K_BGN, region_id, self._region_start[region_id],
@@ -658,10 +663,9 @@ class VM:
                              self.ts, 0, 0)
                         )
                 elif op == "iter":
-                    top = thread.loop_stack[-1]
-                    top[1] += 1
-                    self._intern_sig(thread)
+                    thread.loop_stack[-1][1] += 1
                     if instrument:
+                        self._intern_sig(thread)
                         self._emit_simple(K_ITER, instr.a, tid)
                 elif op == "exit":
                     region_id = instr.a
