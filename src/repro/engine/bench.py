@@ -486,12 +486,17 @@ def detect_equivalence_sweep(*, scale: int = 1) -> dict:
     ``artifact_mismatches`` those whose whole
     :class:`~repro.engine.artifacts.DetectArtifact` differs (loops, and
     per task container the anchored store, CU graph, SPMD groups and
-    task graph).  The sweep passes only when both lists are empty.
+    task graph); ``cu_mismatches`` those whose engine
+    :class:`~repro.engine.artifacts.CUArtifact` (registry and line
+    counts) differs from :meth:`TopDownBuilder.process` over the decoded
+    trace.  The sweep passes only when all three lists are empty.
     """
+    from repro.cu.topdown import TopDownBuilder
     from repro.workloads import REGISTRY
 
     mismatches: list[str] = []
     artifact_mismatches: list[str] = []
+    cu_mismatches: list[str] = []
     for name in sorted(REGISTRY):
         results = {}
         for mode in ("loop", "vectorized"):
@@ -507,11 +512,23 @@ def detect_equivalence_sweep(*, scale: int = 1) -> dict:
             mismatches.append(name)
         if loop[2] != vec[2]:
             artifact_mismatches.append(name)
+        # the vectorized engine's CUs (the default path) vs. the oracle
+        cus = engine.build_cus()
+        oracle = TopDownBuilder(engine.module)
+        oracle.process(profile.trace.events())
+        if (
+            cus.registry.to_dict() != oracle.build().to_dict()
+            or cus.line_counts != oracle.line_counts
+        ):
+            cu_mismatches.append(name)
     return {
         "workloads_checked": len(REGISTRY),
         "mismatches": mismatches,
         "artifact_mismatches": artifact_mismatches,
-        "all_identical": not mismatches and not artifact_mismatches,
+        "cu_mismatches": cu_mismatches,
+        "all_identical": (
+            not mismatches and not artifact_mismatches and not cu_mismatches
+        ),
     }
 
 

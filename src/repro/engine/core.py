@@ -375,9 +375,9 @@ class DiscoveryEngine:
     def build_cus(self, *, force: bool = False) -> CUArtifact:
         """Top-down CU construction over the cached trace.
 
-        Walks the trace chunk-wise on the columnar path (vectorized line
-        counts), and a spilling sink re-reads its segments lazily, so the
-        full trace never needs to be resident.
+        The segment scan (``TopDownBuilder.process_chunks``) reads the
+        trace in bounded batches, and a spilling sink re-reads its
+        segments lazily, so the full trace never needs to be resident.
         """
         if self._cus is None or force:
             import time as _time
@@ -385,10 +385,19 @@ class DiscoveryEngine:
             self._check_fault("cus")
             profile = self.profile()
             t0 = _time.perf_counter()
-            with self.obs.tracer.span("phase.build_cus", "engine"):
+            tracer = self.obs.tracer
+            with tracer.span("phase.build_cus", "engine"):
                 builder = TopDownBuilder(self.module)
-                builder.process_chunks(profile.trace.iter_chunks())
-                registry = builder.build()
+                with tracer.span("cu.walk", "cu", rows=0, batches=0) as span:
+                    builder.process_chunks(profile.trace.iter_chunks())
+                    if tracer.enabled:
+                        span.args.update(
+                            rows=builder.n_rows, batches=builder.n_batches
+                        )
+                with tracer.span("cu.assemble", "cu", cus=0) as span:
+                    registry = builder.build()
+                    if tracer.enabled:
+                        span.args.update(cus=len(registry.all_cus))
             self._cus = CUArtifact(
                 registry=registry,
                 line_counts=builder.line_counts,

@@ -368,6 +368,21 @@ class TestEngineObs:
             assert args["deps"] == len(analysis.anchored_store)
             assert args["rows"] > 0
 
+    def test_build_cus_spans_split_walk_and_assembly(self):
+        engine = engine_for("fib", obs="trace")
+        cus = engine.build_cus()
+        trace = engine.profile().trace
+        spans = {
+            s[0]: s for s in engine.obs.tracer.lane("main").spans
+            if s[0].startswith("cu.")
+        }
+        walk, assemble = spans["cu.walk"], spans["cu.assemble"]
+        assert walk[S_PATH] == "phase.build_cus;cu.walk"
+        assert assemble[S_PATH] == "phase.build_cus;cu.assemble"
+        assert walk[S_ARGS]["rows"] == trace.n_events
+        assert walk[S_ARGS]["batches"] >= 1
+        assert assemble[S_ARGS]["cus"] == len(cus.registry.all_cus)
+
     def test_off_mode_records_nothing(self):
         engine = engine_for("fib")
         result = engine.run()

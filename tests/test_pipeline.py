@@ -16,6 +16,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.cu import topdown
 from repro.cu.topdown import TopDownBuilder
 from repro.engine import DiscoveryConfig, DiscoveryEngine
 from repro.mir.lowering import compile_source
@@ -372,24 +373,222 @@ class TestSkippingAndPET:
             ), name
 
 
+def _cu_result(builder) -> tuple:
+    return builder.build().to_dict(), dict(builder.line_counts)
+
+
+def _oracle_cus(module, events) -> tuple:
+    builder = TopDownBuilder(module)
+    builder.process(events)
+    return _cu_result(builder)
+
+
+def _scanned_cus(module, chunks) -> tuple:
+    builder = TopDownBuilder(module)
+    builder.process_chunks(chunks)
+    return _cu_result(builder)
+
+
+def _cut(chunks, n: int) -> list:
+    """The same rows re-chunked into ``n``-row chunks."""
+    return [
+        EventChunk(chunk.rows[i:i + n], chunk.strings)
+        for chunk in chunks
+        for i in range(0, len(chunk), n)
+    ]
+
+
+#: a module for hand-built streams.  Regions: 1 = f (lines 3-10), 2 = the
+#: loop in f (5-8), 3 = main (11-18), 4 = the loop in main (13-16).  Vars:
+#: g = 0, a = 1, n = 2, s = 3, i = 4, t = 5, k = 6.  Global to f: g, a, n;
+#: to loop 2: also s; to main: g; to loop 4: g, t.
+EDGE_SOURCE = """int g;
+int a[8];
+int f(int n) {
+  int s = 0;
+  for (int i = 0; i < n; i++) {
+    s = s + a[i];
+    g = s;
+  }
+  return s;
+}
+int main() {
+  int t = 0;
+  for (int k = 0; k < 3; k++) {
+    t = t + f(k);
+    g = t;
+  }
+  return t;
+}
+"""
+
+
+def _rd(line, var_id, tid=0):
+    return ("R", 100 + var_id, line, f"v{var_id}", 0, tid, 0, 0, var_id)
+
+
+def _wr(line, var_id, tid=0):
+    return ("W", 100 + var_id, line, f"v{var_id}", 0, tid, 0, 0, var_id)
+
+
+def _bgn(region, tid=0):
+    return ("G", region, "loop", 0, tid, 0)
+
+
+def _end(region, tid=0):
+    return ("E", region, "loop", 0, tid, 0, 0)
+
+
+def _iter(region, tid=0):
+    return ("I", region, tid, 0)
+
+
+def _call(func, tid=0):
+    return ("C", func, 0, tid, 0, 0)
+
+
+def _ret(func, tid=0):
+    return ("X", func, tid, 0)
+
+
+#: streams no registry trace produces, one per branch of the marker
+#: walk's stack rule (``TopDownBuilder._close``, ITER matching, thread
+#: separation).  Each ends with reads whose outcome a wrong rule changes.
+EDGE_STREAMS = {
+    "fexit_pops_open_loop": [
+        _call("main"), _bgn(4), _wr(15, 0), _rd(14, 0),
+        _call("f"), _bgn(2), _wr(6, 3), _rd(7, 3), _wr(7, 0),
+        _ret("f"),  # loop 2 is still open: both instances pop
+        _rd(9, 0), _iter(4), _rd(14, 0), _end(4), _ret("main"),
+    ],
+    "end_without_match_empties_stack": [
+        _call("main"), _bgn(4), _wr(14, 5), _wr(15, 0),
+        _end(2),  # no open instance of region 2: the stack empties
+        _rd(15, 0), _rd(14, 5), _call("main"), _wr(12, 0), _rd(12, 0),
+    ],
+    "close_on_empty_stack": [
+        _ret("main"), _end(4), _rd(14, 0), _call("main"),
+        _end(4), _wr(14, 0), _rd(15, 0), _ret("main"),
+        _ret("main"), _end(4), _call("main"), _rd(16, 0),
+    ],
+    "iter_not_innermost_or_unmatched": [
+        _call("main"), _bgn(4), _wr(15, 0), _call("f"), _bgn(2),
+        _wr(7, 0), _iter(4),  # region 4 sits below f and loop 2
+        _rd(14, 0), _rd(7, 0), _iter(9),  # no such region
+        _iter(1), _rd(6, 0), _wr(6, 3), _iter(2), _rd(7, 3), _rd(8, 0),
+        _end(2), _ret("f"), _rd(15, 0),
+    ],
+    "call_outside_module": [
+        _call("main"), _wr(14, 0), _call("printf"), _rd(12, 0),
+        _ret("printf"), _rd(15, 0), _ret("printf"), _rd(17, 0),
+    ],
+    "rows_without_open_instance": [
+        _wr(14, 0, tid=1), _rd(15, 0, tid=1), _call("main"),
+        _wr(14, 0), _rd(13, 0, tid=1), _rd(15, 0), _rd(7, -1),
+        _wr(7, 99), _rd(16, 0, tid=1),
+    ],
+    "interleaved_threads": [
+        _call("main"), _call("f", tid=1), _wr(15, 0), _rd(7, 0, tid=1),
+        _bgn(2, tid=1), _wr(7, 0, tid=1), _bgn(4), _rd(14, 0),
+        _iter(2, tid=1), _rd(6, 0, tid=1), _iter(4), _wr(13, 5),
+        _rd(14, 5, tid=1), _end(2, tid=1), _ret("f", tid=1), _rd(14, 5),
+        _end(4), _ret("main"),
+    ],
+}
+
+
 class TestCUWalk:
+    """The segment scan (``process_chunks``) against the decoded-view
+    oracle (``process``): same registry, same line counts."""
+
     @pytest.mark.parametrize("name", [TEXTBOOK, NAS])
     def test_topdown_registry_identical(self, recorded, name):
         trace, _ = recorded[name]
+        module = get_workload(name).compile(1)
+        assert _scanned_cus(module, trace.iter_chunks()) == _oracle_cus(
+            module, trace.events()
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["health", "fib", "splash2x-fft", "splash2x-ocean"]
+    )
+    def test_recut_registry_identical(self, name, monkeypatch):
+        """1-row chunks (joined into batches) and 7-row batches, which
+        cut the trace inside every kind of marker run and carry stacks
+        and written-sets across each cut."""
         workload = get_workload(name)
         module = workload.compile(1)
-        registries = {}
-        for path, chunks in (
-            ("tuple", decoded_chunks(trace)), ("columnar", trace.chunks),
-        ):
-            builder = TopDownBuilder(module)
-            builder.process_chunks(chunks)
-            registries[path] = (builder.build(), dict(builder.line_counts))
-        assert registries["tuple"][1] == registries["columnar"][1]
-        assert (
-            registries["tuple"][0].to_dict()
-            == registries["columnar"][0].to_dict()
+        trace, _ = record(module, workload.entry)
+        expected = _oracle_cus(module, trace.events())
+        assert _scanned_cus(module, _cut(trace.chunks, 1)) == expected
+        monkeypatch.setattr(topdown, "BATCH_ROWS", 7)
+        assert _scanned_cus(module, _cut(trace.chunks, 7)) == expected
+
+    @pytest.mark.parametrize("batch_rows", [1, 7, topdown.BATCH_ROWS])
+    @pytest.mark.parametrize("case", sorted(EDGE_STREAMS))
+    def test_edge_stream_identical(self, case, batch_rows, monkeypatch):
+        module = compile_source(EDGE_SOURCE)
+        chunk = EventChunk.from_tuples(EDGE_STREAMS[case])
+        expected = _oracle_cus(module, chunk.to_tuples())
+        monkeypatch.setattr(topdown, "BATCH_ROWS", batch_rows)
+        got = _scanned_cus(module, _cut([chunk], batch_rows))
+        assert got == expected
+
+    def test_edge_streams_reach_every_outcome(self):
+        """The hand-built streams are not vacuous: together they execute
+        regions, split some at violating reads and leave others whole."""
+        module = compile_source(EDGE_SOURCE)
+        whole = split = 0
+        for events in EDGE_STREAMS.values():
+            registry, counts = _oracle_cus(module, events)
+            assert counts
+            for info in registry["regions"]:
+                if info["is_single_cu"]:
+                    whole += 1
+                else:
+                    split += 1
+        assert whole and split
+
+    def test_engine_never_decodes(self, monkeypatch, tmp_path):
+        """``engine.build_cus()`` runs the segment scan only, and a raw
+        spilled trace (read-only memory-mapped segments) gives the
+        resident trace's registry without a byte of a segment changing."""
+        workload = get_workload(TEXTBOOK)
+        base = DiscoveryConfig(
+            source=workload.source(1), name=TEXTBOOK,
+            vm_kwargs={"chunk_size": 256},
         )
+        resident = DiscoveryEngine(config=base)
+        spilled = DiscoveryEngine(config=base.replace(
+            spill_trace=True, max_resident_chunks=4,
+            spill_dir=str(tmp_path), spill_compress=False,
+        ))
+        resident.profile()
+        trace = spilled.profile().trace
+        segments = {
+            path: open(path, "rb").read() for path in trace.segment_paths
+        }
+        assert segments and all(p.endswith(".npy") for p in segments)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("build_cus decoded the trace")
+
+        monkeypatch.setattr(TopDownBuilder, "process", forbidden)
+        monkeypatch.setattr(EventChunk, "to_tuples", forbidden)
+        monkeypatch.setattr(EventChunk, "__iter__", forbidden)
+        cus = {
+            tag: engine.build_cus()
+            for tag, engine in (("resident", resident), ("spilled", spilled))
+        }
+        monkeypatch.undo()
+        assert (
+            cus["spilled"].registry.to_dict()
+            == cus["resident"].registry.to_dict()
+        )
+        assert cus["spilled"].line_counts == cus["resident"].line_counts
+        for path, data in segments.items():
+            assert open(path, "rb").read() == data
+        trace.close()
 
 
 class TestSpillingTraceSink:
